@@ -12,7 +12,7 @@ try:
 except PackageNotFoundError:  # pragma: no cover - running from a source tree
     __version__ = "0.1.0"
 
-from ._kernels import BACKEND, HAVE_NUMBA
+from ._kernels import BACKEND
 from .cover import (
     BoundTable,
     CoverCertificate,
@@ -28,7 +28,7 @@ from .cover import (
     pigeonhole_lower_bound,
     verify_cover,
 )
-from .errors import ResourceLimitError, VerificationError
+from .errors import ResourceLimitError
 from .graph import (
     CoverageGraph,
     JointReport,
@@ -52,7 +52,6 @@ from .perms import (
 from .threshold import (
     GapReport,
     SweepReport,
-    TrialConfig,
     count_uncovered,
     critical_window_p,
     exact_mean,
@@ -72,7 +71,6 @@ from .threshold import (
 
 __all__ = [
     "BACKEND",
-    "HAVE_NUMBA",
     "BoundTable",
     "CoverCertificate",
     "CoverageGraph",
@@ -82,8 +80,6 @@ __all__ = [
     "Permutation",
     "ResourceLimitError",
     "SweepReport",
-    "TrialConfig",
-    "VerificationError",
     "VerifyResult",
     "alteration_cover",
     "alteration_upper_bound",

@@ -1,40 +1,19 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels, vectorized with numpy.
 
-Every kernel here exists twice: a numba ``@njit`` version (default when
-numba is importable) and a vectorized pure-numpy version.  The active
-backend is chosen once at import time from the ``PERMCOVER_BACKEND``
-environment variable ("numba" or "numpy"); both implementations are
-importable directly so tests and benchmarks can compare them.
-
-The two backends are required to produce bit-identical outputs: all
-kernels are exact integer computations, and randomness is generated
-outside the kernels and passed in as arrays.
+All kernels are exact integer computations, and randomness is generated
+outside them and passed in as arrays, so their outputs are a pure
+function of their inputs.  Callers look them up as ``_kernels.<name>``
+at call time, so a wrapper installed on the module attribute (the
+per-layer tracer in ``perfbench/tracing.py`` does this) sees every call.
 """
 from __future__ import annotations
 
 import itertools
-import os
 from math import factorial
 
 import numpy as np
 
-try:
-    import numba as nb
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    nb = None
-    HAVE_NUMBA = False
-
-_env = os.environ.get("PERMCOVER_BACKEND", "").strip().lower()
-if _env not in ("", "numba", "numpy"):
-    raise ValueError(
-        f"PERMCOVER_BACKEND={_env!r} not understood; use 'numba' or 'numpy'"
-    )
-if _env == "numba" and not HAVE_NUMBA:
-    raise ImportError("PERMCOVER_BACKEND=numba requested but numba is not installed")
-
-BACKEND = "numpy" if (_env == "numpy" or not HAVE_NUMBA) else "numba"
+BACKEND = "numpy"  # the one kernel implementation; reported in run facts
 
 
 def all_perms(length: int) -> np.ndarray:
@@ -55,38 +34,13 @@ def lehmer_weights(length: int) -> np.ndarray:
 # without being standardized first).
 
 
-def _lehmer_ranks_np(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def lehmer_ranks(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
     rows, length = mat.shape
     out = np.zeros(rows, dtype=np.int64)
     for i in range(length - 1):
         smaller = (mat[:, i + 1 :] < mat[:, i : i + 1]).sum(axis=1)
         out += smaller.astype(np.int64) * weights[i]
     return out
-
-
-if HAVE_NUMBA:
-
-    @nb.njit(cache=True, nogil=True)
-    def _lehmer_ranks_nb(mat, weights):  # pragma: no cover - exercised via dispatch
-        rows, length = mat.shape
-        out = np.empty(rows, dtype=np.int64)
-        for r in range(rows):
-            acc = 0
-            for i in range(length - 1):
-                vi = mat[r, i]
-                smaller = 0
-                for j in range(i + 1, length):
-                    if mat[r, j] < vi:
-                        smaller += 1
-                acc += smaller * weights[i]
-            out[r] = acc
-        return out
-
-
-def lehmer_ranks(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    if BACKEND == "numba":
-        return _lehmer_ranks_nb(mat, weights)
-    return _lehmer_ranks_np(mat, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +50,7 @@ def lehmer_ranks(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
 # boolean.  This is the Monte Carlo inner loop.
 
 
-def _count_uncovered_chunk_np(cover_ranks: np.ndarray, sel: np.ndarray) -> np.ndarray:
+def count_uncovered_chunk(cover_ranks: np.ndarray, sel: np.ndarray) -> np.ndarray:
     trials = sel.shape[0]
     n_patterns = cover_ranks.shape[0]
     out = np.empty(trials, dtype=np.int64)
@@ -107,33 +61,6 @@ def _count_uncovered_chunk_np(cover_ranks: np.ndarray, sel: np.ndarray) -> np.nd
     return out
 
 
-if HAVE_NUMBA:
-
-    @nb.njit(cache=True, nogil=True)
-    def _count_uncovered_chunk_nb(cover_ranks, sel):  # pragma: no cover
-        trials = sel.shape[0]
-        n_patterns, per_pattern = cover_ranks.shape
-        out = np.empty(trials, dtype=np.int64)
-        for t in range(trials):
-            uncovered = 0
-            for p in range(n_patterns):
-                hit = False
-                for c in range(per_pattern):
-                    if sel[t, cover_ranks[p, c]]:
-                        hit = True
-                        break
-                if not hit:
-                    uncovered += 1
-            out[t] = uncovered
-        return out
-
-
-def count_uncovered_chunk(cover_ranks: np.ndarray, sel: np.ndarray) -> np.ndarray:
-    if BACKEND == "numba":
-        return _count_uncovered_chunk_nb(cover_ranks, sel)
-    return _count_uncovered_chunk_np(cover_ranks, sel)
-
-
 # ---------------------------------------------------------------------------
 # joint_pair_counts: dense matrix of |{rho : rho covers both pi and pi'}|
 # over all ordered pattern pairs, accumulated by walking every cover's
@@ -141,9 +68,7 @@ def count_uncovered_chunk(cover_ranks: np.ndarray, sel: np.ndarray) -> np.ndarra
 # plain cover count and is stored elsewhere).
 
 
-def _joint_pair_counts_np(
-    indptr: np.ndarray, data: np.ndarray, n_patterns: int
-) -> np.ndarray:
+def joint_pair_counts(indptr: np.ndarray, data: np.ndarray, n_patterns: int) -> np.ndarray:
     counts = np.zeros((n_patterns, n_patterns), dtype=np.uint8)
     lengths = np.diff(indptr)
     for k in np.unique(lengths):
@@ -159,28 +84,6 @@ def _joint_pair_counts_np(
     return counts
 
 
-if HAVE_NUMBA:
-
-    @nb.njit(cache=True, nogil=True)
-    def _joint_pair_counts_nb(indptr, data, n_patterns):  # pragma: no cover
-        counts = np.zeros((n_patterns, n_patterns), dtype=np.uint8)
-        for r in range(indptr.shape[0] - 1):
-            lo, hi = indptr[r], indptr[r + 1]
-            for i in range(lo, hi):
-                a = data[i]
-                for j in range(i + 1, hi):
-                    b = data[j]
-                    counts[a, b] += 1
-                    counts[b, a] += 1
-        return counts
-
-
-def joint_pair_counts(indptr: np.ndarray, data: np.ndarray, n_patterns: int) -> np.ndarray:
-    if BACKEND == "numba":
-        return _joint_pair_counts_nb(indptr, data, n_patterns)
-    return _joint_pair_counts_np(indptr, data, n_patterns)
-
-
 # ---------------------------------------------------------------------------
 # greedy_select: max-residual-coverage greedy multicover.  Each step picks
 # the cover helping the most still-deficient patterns, lowest rank on ties,
@@ -188,7 +91,7 @@ def joint_pair_counts(indptr: np.ndarray, data: np.ndarray, n_patterns: int) -> 
 # ranks in selection order plus the unmet deficiency (0 on success).
 
 
-def _greedy_select_np(indptr, data, n_patterns, lam):
+def greedy_select(indptr, data, n_patterns, lam):
     n_covers = indptr.shape[0] - 1
     counts = np.zeros(n_patterns, dtype=np.int64)
     available = np.ones(n_covers, dtype=bool)
@@ -211,59 +114,18 @@ def _greedy_select_np(indptr, data, n_patterns, lam):
     return np.array(picks, dtype=np.int64), int(remaining)
 
 
-if HAVE_NUMBA:
-
-    @nb.njit(cache=True, nogil=True)
-    def _greedy_select_nb(indptr, data, n_patterns, lam):  # pragma: no cover
-        n_covers = indptr.shape[0] - 1
-        counts = np.zeros(n_patterns, dtype=np.int64)
-        taken = np.zeros(n_covers, dtype=np.bool_)
-        picks = np.empty(n_covers, dtype=np.int64)
-        n_picks = 0
-        remaining = n_patterns * lam
-        while remaining > 0:
-            best = -1
-            best_gain = 0
-            for r in range(n_covers):
-                if taken[r]:
-                    continue
-                gain = 0
-                for idx in range(indptr[r], indptr[r + 1]):
-                    if counts[data[idx]] < lam:
-                        gain += 1
-                if gain > best_gain:
-                    best_gain = gain
-                    best = r
-            if best < 0:
-                break
-            taken[best] = True
-            picks[n_picks] = best
-            n_picks += 1
-            for idx in range(indptr[best], indptr[best + 1]):
-                p = data[idx]
-                if counts[p] < lam:
-                    remaining -= 1
-                counts[p] += 1
-        return picks[:n_picks], remaining
-
-
-def greedy_select(indptr, data, n_patterns, lam):
-    if BACKEND == "numba":
-        picks, remaining = _greedy_select_nb(indptr, data, n_patterns, lam)
-        return picks, int(remaining)
-    return _greedy_select_np(indptr, data, n_patterns, lam)
-
-
 # ---------------------------------------------------------------------------
 # subset_cover_exists: exhaustive search for a size-k subset of covers whose
 # pattern sets union to everything.  Used as the independent oracle against
-# the branch-and-bound solver: plain combination enumeration over a boolean
-# incidence matrix, pruned only by (a) requiring every chosen set to add at
-# least one new pattern and (b) the remaining-capacity count.  Both prunes
-# are sound when k is probed in increasing order.
+# the branch-and-bound solver: plain combination enumeration over pattern
+# bitmasks, pruned only by (a) requiring every chosen set to add at least
+# one new pattern and (b) the remaining-capacity count.  Both prunes are
+# sound when k is probed in increasing order.
 
 
-def _subset_cover_exists_py(pat_bool: np.ndarray, k: int, max_gain: int) -> bool:
+def subset_cover_exists(pat_bool: np.ndarray, k: int, max_gain: int) -> bool:
+    if k < 0:
+        raise ValueError("k must be >= 0")
     n_sets, n_patterns = pat_bool.shape
     full = (1 << n_patterns) - 1
     masks = []
@@ -288,74 +150,3 @@ def _subset_cover_exists_py(pat_bool: np.ndarray, k: int, max_gain: int) -> bool
         return False
 
     return rec(0, 0, 0)
-
-
-if HAVE_NUMBA:
-
-    @nb.njit(cache=True, nogil=True)
-    def _subset_cover_exists_nb(pat_bool, k, max_gain):  # pragma: no cover
-        n_sets, n_patterns = pat_bool.shape
-        acc = np.zeros((k + 1, n_patterns), dtype=np.bool_)
-        start = np.zeros(k + 1, dtype=np.int64)
-        need = np.zeros(k + 1, dtype=np.int64)
-        need[0] = n_patterns
-        d = 0
-        while d >= 0:
-            if need[d] == 0:
-                return True
-            if d == k or need[d] > (k - d) * max_gain:
-                d -= 1
-                continue
-            i = start[d]
-            if i > n_sets - (k - d):
-                d -= 1
-                continue
-            start[d] = i + 1
-            gained = False
-            covered = 0
-            for q in range(n_patterns):
-                v = acc[d, q] or pat_bool[i, q]
-                acc[d + 1, q] = v
-                if v:
-                    covered += 1
-                    if not acc[d, q]:
-                        gained = True
-            if not gained:
-                continue
-            need[d + 1] = n_patterns - covered
-            start[d + 1] = i + 1
-            d += 1
-        return False
-
-
-def subset_cover_exists(pat_bool: np.ndarray, k: int, max_gain: int) -> bool:
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if BACKEND == "numba":
-        return bool(_subset_cover_exists_nb(pat_bool, k, max_gain))
-    return _subset_cover_exists_py(pat_bool, k, max_gain)
-
-
-# Registry used by the backend benchmark and the backend-equivalence tests.
-IMPLEMENTATIONS = {
-    "lehmer_ranks": {
-        "numpy": _lehmer_ranks_np,
-        "numba": _lehmer_ranks_nb if HAVE_NUMBA else None,
-    },
-    "count_uncovered_chunk": {
-        "numpy": _count_uncovered_chunk_np,
-        "numba": _count_uncovered_chunk_nb if HAVE_NUMBA else None,
-    },
-    "joint_pair_counts": {
-        "numpy": _joint_pair_counts_np,
-        "numba": _joint_pair_counts_nb if HAVE_NUMBA else None,
-    },
-    "greedy_select": {
-        "numpy": _greedy_select_np,
-        "numba": _greedy_select_nb if HAVE_NUMBA else None,
-    },
-    "subset_cover_exists": {
-        "numpy": _subset_cover_exists_py,
-        "numba": _subset_cover_exists_nb if HAVE_NUMBA else None,
-    },
-}

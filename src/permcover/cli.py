@@ -72,13 +72,6 @@ def _resolve_cache_dir(args) -> Path:
     return Path(env) if env else Path(DEFAULT_CACHE_DIR)
 
 
-def _resolve_max_n(args) -> int | None:
-    if args.max_n is not None:
-        return args.max_n
-    raw = os.environ.get("PERMCOVER_MAX_N", "").strip()
-    return int(raw) if raw else None
-
-
 def _say(args, message: str):
     if not args.quiet:
         print(message)
@@ -143,7 +136,7 @@ def _cmd_solve(args) -> int:
     seed = args.seed if method in ("alteration", "lambda") else None
 
     t0 = time.perf_counter()
-    g = build_graph(args.n, max_n=_resolve_max_n(args))
+    g = build_graph(args.n, max_n=args.max_n)
     cache_dir = _resolve_cache_dir(args)
     notes: list[str] = []
 
@@ -206,7 +199,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_graph(args) -> int:
     t0 = time.perf_counter()
-    g = build_graph(args.n, max_n=_resolve_max_n(args))
+    g = build_graph(args.n, max_n=args.max_n)
     # Build-time identity checks (cover counts, succession identity,
     # double counts) are enforced during construction; reaching here means
     # they hold.
@@ -250,7 +243,7 @@ def _cmd_graph(args) -> int:
 
 def _cmd_threshold(args) -> int:
     t0 = time.perf_counter()
-    g = build_graph(args.n, max_n=_resolve_max_n(args))
+    g = build_graph(args.n, max_n=args.max_n)
     grid = np.linspace(args.pmin, args.pmax, args.steps)
     report = threshold_sweep(
         g,
@@ -278,19 +271,23 @@ def _cmd_threshold(args) -> int:
         f"p_one(omega={args.omega})={_csv_cell(report.p_one)}",
     ]
     _write_csv(args, args.out, report.CSV_COLUMNS, report.to_rows(), comments)
+    boundaries = (
+        f"; boundaries p_zero={report.p_zero:.6f} p_one={report.p_one:.6f}"
+        if report.p_zero is not None
+        else ""
+    )
     _say(
         args,
         f"threshold n={g.n}: {args.steps} points x {args.trials} trials; "
-        f"phat {report.rows[0].phat:.4f} -> {report.rows[-1].phat:.4f}; "
-        f"boundaries p_zero={report.p_zero:.6f} p_one={report.p_one:.6f} "
-        f"({wall_ms:.0f} ms)",
+        f"phat {report.rows[0].phat:.4f} -> {report.rows[-1].phat:.4f}"
+        f"{boundaries} ({wall_ms:.0f} ms)",
     )
     return 0
 
 
 def _cmd_gap(args) -> int:
     t0 = time.perf_counter()
-    g = build_graph(args.n, max_n=_resolve_max_n(args))
+    g = build_graph(args.n, max_n=args.max_n)
     if args.K is not None:
         p = critical_window_p(args.n, args.K)
         k_nominal = args.K

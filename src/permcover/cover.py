@@ -19,7 +19,7 @@ from math import ceil, exp, factorial, lgamma, log
 import numpy as np
 
 from . import _kernels
-from .graph import CoverageGraph, PermSetBitmap, covers_per_pattern
+from .graph import CoverageGraph, PermSetBitmap, covers_per_pattern, selection_flags
 from .perms import format_perm, unrank, parse_perm, rank
 
 
@@ -125,26 +125,11 @@ class VerifyResult:
     deficiencies: list[tuple[int, int]]  # (pattern rank, coverage count), rank-sorted
 
 
-def _selection_bool(g: CoverageGraph, sel) -> np.ndarray:
-    if isinstance(sel, PermSetBitmap):
-        if sel.level != g.n + 1:
-            raise ValueError(
-                f"selection universe is S_{sel.level}, graph covers need S_{g.n + 1}"
-            )
-        return sel.to_bool()
-    arr = np.asarray(sel)
-    if arr.dtype == bool:
-        if arr.shape != (g.n_covers,):
-            raise ValueError(f"expected {g.n_covers} selection flags")
-        return arr
-    return PermSetBitmap.from_indices(g.n + 1, arr).to_bool()
-
-
 def verify_cover(g: CoverageGraph, sel, lam: int = 1) -> VerifyResult:
     """Count each pattern's selected covers; ok iff all counts >= lam."""
     if lam < 1:
         raise ValueError("lam must be >= 1")
-    flags = _selection_bool(g, sel)
+    flags = selection_flags(g, sel)
     counts = flags[g.cover_ranks].sum(axis=1)
     short = np.flatnonzero(counts < lam)
     return VerifyResult(

@@ -7,7 +7,3 @@ class ResourceLimitError(RuntimeError):
     Raised instead of attempting factorial-scale work past the configured
     maximum; the message names the limit so callers can adjust it.
     """
-
-
-class VerificationError(RuntimeError):
-    """A certificate or audit failed validation."""

@@ -237,6 +237,26 @@ class CoverageGraph:
         return unrank(self.n + 1, r)
 
 
+def selection_flags(g: CoverageGraph, sel) -> np.ndarray:
+    """A selection of covers as a boolean mask over the ranks of S_{n+1}.
+
+    ``sel`` is a PermSetBitmap over S_{n+1}, a boolean mask of length
+    (n+1)!, or any other array-like read as the selected ranks.
+    """
+    if isinstance(sel, PermSetBitmap):
+        if sel.level != g.n + 1:
+            raise ValueError(
+                f"selection universe is S_{sel.level}, graph covers need S_{g.n + 1}"
+            )
+        return sel.to_bool()
+    arr = np.asarray(sel)
+    if arr.dtype == bool:
+        if arr.shape != (g.n_covers,):
+            raise ValueError(f"expected {g.n_covers} selection flags")
+        return arr
+    return PermSetBitmap.from_indices(g.n + 1, arr).to_bool()
+
+
 def build_graph(n: int, *, max_n: int | None = None) -> CoverageGraph:
     """Materialize the coverage graph for S_n vs S_{n+1}.
 

@@ -33,6 +33,7 @@ from .graph import (
     CoverageGraph,
     PermSetBitmap,
     covers_per_pattern,
+    selection_flags,
 )
 
 Z95 = 1.959963984540054
@@ -72,17 +73,10 @@ def sample_selection(n: int, p: float, rng: np.random.Generator) -> PermSetBitma
 
 
 def count_uncovered(g: CoverageGraph, sel) -> int:
-    """Number of patterns with no selected cover under the given selection."""
-    if isinstance(sel, PermSetBitmap):
-        if sel.level != g.n + 1:
-            raise ValueError(
-                f"selection universe is S_{sel.level}, expected S_{g.n + 1}"
-            )
-        flags = sel.to_bool()
-    else:
-        flags = np.asarray(sel, dtype=bool)
-        if flags.shape != (g.n_covers,):
-            raise ValueError(f"expected {g.n_covers} selection flags")
+    """Number of patterns with no selected cover under the given selection:
+    a bitmap over S_{n+1}, a boolean mask over its ranks, or an array of
+    selected ranks (see ``selection_flags``)."""
+    flags = selection_flags(g, sel)
     x = _kernels.count_uncovered_chunk(g.cover_ranks, flags[None, :])
     return int(x[0])
 
@@ -280,14 +274,6 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
 
 # ---------------------------------------------------------------------------
 # Trial running
-
-
-@dataclasses.dataclass(frozen=True)
-class TrialConfig:
-    n: int
-    p: float
-    trials: int
-    master_seed: int
 
 
 def _run_chunk(g: CoverageGraph, p: float, master_seed: int, stream: int,

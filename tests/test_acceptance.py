@@ -124,12 +124,8 @@ def test_3_known_minimum_cover_sizes(graph):
     pat_bool = np.zeros((g4.n_covers, g4.n_patterns), dtype=bool)
     for r in range(g4.n_covers):
         pat_bool[r, g4.pattern_row(r)] = True
-    probe = (
-        _kernels._subset_cover_exists_nb if _kernels.HAVE_NUMBA
-        else _kernels._subset_cover_exists_py
-    )
     k = pigeonhole_lower_bound(4, 1)
-    while not probe(pat_bool, k, 5):
+    while not _kernels.subset_cover_exists(pat_bool, k, 5):
         k += 1
     assert k == cert4.size
 

@@ -101,6 +101,29 @@ class TestDispatch:
         assert any("p_zero" in c for c in comments)
         assert any("p_one" in c for c in comments)
 
+    @pytest.mark.parametrize("quiet", [(), ("--quiet",)])
+    def test_threshold_n1_has_no_boundaries(self, tmp_path, capsys, quiet):
+        # the analytic boundaries need n >= 2; n = 1 leaves them blank
+        out = tmp_path / "sweep.csv"
+        code = run(
+            tmp_path, *quiet, "threshold", "--n", "1", "--pmin", "0.1", "--pmax", "0.5",
+            "--steps", "2", "--trials", "10", "--seed", "0", "--out", str(out),
+        )
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert "# p_zero(omega=2.0)=" in lines
+        assert "# p_one(omega=2.0)=" in lines
+        assert len([l for l in lines if not l.startswith("#")]) == 3
+        assert "boundaries" not in capsys.readouterr().out
+
+    def test_max_n_flag_over_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PERMCOVER_MAX_N", "2")
+        assert run(tmp_path, "graph", "--n", "3") == 3
+        assert run(tmp_path, "--max-n", "3", "graph", "--n", "3") == 0
+        monkeypatch.setenv("PERMCOVER_MAX_N", "eight")
+        assert run(tmp_path, "graph", "--n", "3") == 2
+        assert run(tmp_path, "--max-n", "3", "graph", "--n", "3") == 0
+
     def test_threshold_csv_bytes_reproducible(self, tmp_path):
         args = (
             "threshold", "--n", "3", "--pmin", "0.1", "--pmax", "0.5",

@@ -4,6 +4,7 @@ from math import exp, factorial, log, sqrt
 import numpy as np
 import pytest
 
+from permcover.cover import verify_cover
 from permcover.graph import PermSetBitmap
 from permcover.perms import Permutation, rank
 from permcover.threshold import (
@@ -101,6 +102,16 @@ class TestCountUncovered:
     def test_universe_mismatch(self, graph):
         with pytest.raises(ValueError):
             count_uncovered(graph(3), PermSetBitmap.full(3))
+
+    def test_rank_array_read_as_ranks(self, graph):
+        # an integer array as long as S_{n+1} still lists ranks, not flags,
+        # exactly as verify_cover reads it
+        g = graph(3)
+        ranks = np.zeros(g.n_covers, dtype=np.int64)
+        ranks[:2] = [5, 17]
+        x = count_uncovered(g, ranks)
+        assert x == len(verify_cover(g, ranks).deficiencies) == 2
+        assert x == count_uncovered(g, PermSetBitmap.from_indices(4, [0, 5, 17]))
 
 
 class TestExactMoments:
