@@ -38,7 +38,10 @@ from .graph import (
 
 Z95 = 1.959963984540054
 
-_CHUNK_TRIALS = 256  # fixed so chunking never affects which RNG stream a trial uses
+# Trials per chunk: the batch width of one bit-sliced count (256 trials =
+# 32 bytes = 4 words per cover).  RNG streams are keyed per trial, so the
+# chunk size never changes which stream a trial uses, only the batching.
+_CHUNK_TRIALS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -57,27 +60,27 @@ def trial_rng(master_seed: int, trial_index: int, stream: int = 0) -> np.random.
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-def _selection_flags(m: int, p: float, rng: np.random.Generator) -> np.ndarray:
+def _selected_ranks(m: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """The distinct ranks in 0..m-1 one trial selects (empty if none)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
-    flags = np.zeros(m, dtype=bool)
     k = int(rng.binomial(m, p))
-    if k:
-        flags[rng.choice(m, size=k, replace=False, shuffle=False)] = True
-    return flags
+    if not k:
+        return np.empty(0, dtype=np.int64)
+    return rng.choice(m, size=k, replace=False, shuffle=False)
 
 
 def sample_selection(n: int, p: float, rng: np.random.Generator) -> PermSetBitmap:
     """One random selection over S_{n+1}: each rank kept with probability p."""
-    return PermSetBitmap.from_bool(n + 1, _selection_flags(factorial(n + 1), p, rng))
+    return PermSetBitmap.from_indices(n + 1, _selected_ranks(factorial(n + 1), p, rng))
 
 
 def count_uncovered(g: CoverageGraph, sel) -> int:
     """Number of patterns with no selected cover under the given selection:
     a bitmap over S_{n+1}, a boolean mask over its ranks, or an array of
     selected ranks (see ``selection_flags``)."""
-    flags = selection_flags(g, sel)
-    x = _kernels.count_uncovered_chunk(g.cover_ranks, flags[None, :])
+    packed = selection_flags(g, sel).astype(np.uint8)[None, :]  # one trial: bit 0
+    x = _kernels.count_uncovered_chunk(g.cover_ranks, packed, 1)
     return int(x[0])
 
 
@@ -279,11 +282,12 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
 def _run_chunk(g: CoverageGraph, p: float, master_seed: int, stream: int,
                start: int, stop: int) -> np.ndarray:
     m = g.n_covers
-    sel = np.empty((stop - start, m), dtype=bool)
+    trials = stop - start
+    packed = np.zeros((-(-trials // 8), m), dtype=np.uint8)
     for i, t in enumerate(range(start, stop)):
         rng = trial_rng(master_seed, t, stream)
-        sel[i] = _selection_flags(m, p, rng)
-    x = _kernels.count_uncovered_chunk(g.cover_ranks, sel)
+        packed[i >> 3, _selected_ranks(m, p, rng)] |= np.uint8(1 << (i & 7))
+    x = _kernels.count_uncovered_chunk(g.cover_ranks, packed, trials)
     return np.bincount(x, minlength=g.n_patterns + 1)
 
 

@@ -29,7 +29,7 @@ from permcover.cover import (
     verify_cover,
 )
 from permcover.graph import PermSetBitmap, audit_joint_coverage, covers_per_pattern
-from permcover.perms import Permutation, rank, unrank
+from permcover.perms import Permutation, rank
 from permcover.threshold import (
     count_uncovered,
     exact_mean,

@@ -1,7 +1,6 @@
 from fractions import Fraction
 from math import comb, factorial, log
 
-import numpy as np
 import pytest
 
 from permcover.cover import (

@@ -4,6 +4,7 @@ from math import exp, factorial, log, sqrt
 import numpy as np
 import pytest
 
+from permcover import _kernels
 from permcover.cover import verify_cover
 from permcover.graph import PermSetBitmap
 from permcover.perms import Permutation, rank
@@ -112,6 +113,75 @@ class TestCountUncovered:
         x = count_uncovered(g, ranks)
         assert x == len(verify_cover(g, ranks).deficiencies) == 2
         assert x == count_uncovered(g, PermSetBitmap.from_indices(4, [0, 5, 17]))
+
+
+def reference_uncovered(cover_ranks, flags):
+    """Plain per-trial count: patterns with no selected cover, one trial per row."""
+    n_patterns = cover_ranks.shape[0]
+    return np.array(
+        [n_patterns - np.count_nonzero(row[cover_ranks].any(axis=1)) for row in flags],
+        dtype=np.int64,
+    )
+
+
+class TestBitSlicedKernel:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_per_trial_reference(self, graph, n):
+        g = graph(n)
+        rng = np.random.default_rng(1000 + n)
+        for trials in (1, 7, 8, 9, 63, 64, 65, 256):
+            for p in (0.0, 0.05, 0.5, 1.0):
+                flags = rng.random((trials, g.n_covers)) < p
+                # bit t % 8 of row t // 8 is trial t's flag
+                packed = np.packbits(flags, axis=0, bitorder="little")
+                assert packed.shape == ((trials + 7) // 8, g.n_covers)
+                x = _kernels.count_uncovered_chunk(g.cover_ranks, packed, trials)
+                assert x.shape == (trials,)
+                assert np.array_equal(x, reference_uncovered(g.cover_ranks, flags)), (
+                    trials, p)
+
+    def test_strided_mask_view(self, graph):
+        g = graph(4)
+        mask = np.random.default_rng(5).random(2 * g.n_covers) < 0.1
+        view = mask[::2]
+        assert not view.flags.c_contiguous
+        x = count_uncovered(g, view)
+        assert x == count_uncovered(g, view.copy())
+        assert x == reference_uncovered(g.cover_ranks, view[None, :])[0]
+
+    def test_chunks_match_per_trial_sampling(self, graph):
+        # two chunks, the second ending in a partial byte: the packed
+        # sampling path agrees with each trial's own selection counted alone
+        g = graph(4)
+        p, trials, seed, stream = 0.2, 300, 3, 1
+        hist = run_uncovered_counts(g, p, trials, seed, stream=stream)
+        flags = np.array([
+            sample_selection(4, p, trial_rng(seed, t, stream)).to_bool()
+            for t in range(trials)
+        ])
+        expected = np.bincount(
+            reference_uncovered(g.cover_ranks, flags), minlength=g.n_patterns + 1
+        )
+        assert np.array_equal(hist, expected)
+
+
+class TestGoldenHistograms:
+    """Histograms pinned to literals: a change that moves payload bytes
+    (RNG stream layout, sampling order, counting) fails here."""
+
+    def test_n6_three_chunks_partial_byte(self, graph):
+        hist = run_uncovered_counts(graph(6), 0.15, 700, 7, stream=0)
+        expected = np.zeros(721, dtype=np.int64)
+        for x, c in {0: 123, 1: 209, 2: 174, 3: 112, 4: 50, 5: 21, 6: 5, 7: 4, 8: 2}.items():
+            expected[x] = c
+        assert np.array_equal(hist, expected)
+
+    @pytest.mark.parametrize("p, x", [(0.0, 120), (1.0, 0)])
+    def test_n5_degenerate(self, graph, p, x):
+        hist = run_uncovered_counts(graph(5), p, 700, 7, stream=0)
+        expected = np.zeros(121, dtype=np.int64)
+        expected[x] = 700
+        assert np.array_equal(hist, expected)
 
 
 class TestExactMoments:
