@@ -75,26 +75,51 @@ def count_uncovered_chunk(cover_ranks: np.ndarray, packed: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# joint_pair_counts: dense matrix of |{rho : rho covers both pi and pi'}|
-# over all ordered pattern pairs, accumulated by walking every cover's
-# pattern list.  Diagonal entries are left at zero (the diagonal is the
-# plain cover count and is stored elsewhere).
+# joint_pair_counts: how many covers each ordered pair of distinct patterns
+# shares, summarised without a dense (n!)^2 matrix.  For each pattern p the
+# pattern lists of its n^2+1 covers (padded to a common width) are gathered
+# into one row and sorted; a run of value v != p of length c then says that
+# v shares exactly c covers with p, because a cover lists each pattern once.
+# Patterns are processed in blocks of _PAIR_BLOCK rows, which bounds the
+# transient: at n=8 the kernel then peaks below the graph build (~205 MB),
+# where one unblocked pass peaks at ~790 MB.
+# Returns (n_pairs, partners, four_pairs): n_pairs[c] is the number of
+# ordered pairs sharing exactly c >= 1 covers (n_pairs[0] = 0), partners[p]
+# the number of patterns sharing at least one cover with p, and four_pairs
+# the (k, 2) rank pairs a < b sharing exactly 4 covers, in lexicographic
+# order.
 
 
-def joint_pair_counts(indptr: np.ndarray, data: np.ndarray, n_patterns: int) -> np.ndarray:
-    counts = np.zeros((n_patterns, n_patterns), dtype=np.uint8)
+_PAIR_BLOCK = 2048
+
+
+def joint_pair_counts(cover_ranks: np.ndarray, indptr: np.ndarray, data: np.ndarray):
+    n_patterns, per_pattern = cover_ranks.shape
+    n_covers = indptr.shape[0] - 1
     lengths = np.diff(indptr)
-    for k in np.unique(lengths):
-        if k < 2:
-            continue
-        rows = np.flatnonzero(lengths == k)
-        block = data[indptr[rows][:, None] + np.arange(k)]
-        iu, ju = np.triu_indices(int(k), 1)
-        a = block[:, iu].ravel()
-        b = block[:, ju].ravel()
-        np.add.at(counts, (a, b), 1)
-        np.add.at(counts, (b, a), 1)
-    return counts
+    padded = np.full((n_covers, int(lengths.max())), n_patterns, dtype=data.dtype)
+    padded[np.repeat(np.arange(n_covers), lengths),
+           np.arange(data.shape[0]) - np.repeat(indptr[:-1], lengths)] = data
+    n_pairs = np.zeros(per_pattern + 1, dtype=np.int64)
+    partners = np.zeros(n_patterns, dtype=np.int64)
+    four_pairs = []
+    for lo in range(0, n_patterns, _PAIR_BLOCK):
+        hi = min(lo + _PAIR_BLOCK, n_patterns)
+        lists = padded[cover_ranks[lo:hi]].reshape(hi - lo, -1)
+        lists.sort(axis=1)
+        starts = np.ones(lists.shape, dtype=bool)
+        np.not_equal(lists[:, 1:], lists[:, :-1], out=starts[:, 1:])
+        at = np.flatnonzero(starts)
+        run = np.diff(at, append=lists.size)
+        value = lists.ravel()[at]
+        owner = at // lists.shape[1] + lo
+        keep = (value != owner) & (value != n_patterns)
+        run, value, owner = run[keep], value[keep], owner[keep]
+        n_pairs += np.bincount(run, minlength=per_pattern + 1)
+        partners[lo:hi] = np.bincount(owner - lo, minlength=hi - lo)
+        four = (run == 4) & (value > owner)
+        four_pairs.append(np.column_stack((owner[four], value[four])))
+    return n_pairs, partners, np.concatenate(four_pairs)
 
 
 # ---------------------------------------------------------------------------

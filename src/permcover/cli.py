@@ -213,9 +213,7 @@ def _cmd_graph(args) -> int:
     payload: dict = {"n": g.n, "identity": identity}
     violating = False
     if args.audit:
-        report = audit_joint_coverage(
-            g, sample_pairs=args.sample_pairs, seed=args.seed or 0
-        )
+        report = audit_joint_coverage(g)
         payload.update(report.to_payload())
         violating = bool(report.violations) or not report.bounds_ok
     wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -223,8 +221,6 @@ def _cmd_graph(args) -> int:
         "subcommand": "graph",
         "n": args.n,
         "audit": args.audit,
-        "sample_pairs": args.sample_pairs,
-        "seed": args.seed,
     }
     _write_envelope(args, args.out, "graph", config, payload, [], wall_ms,
                     _resolve_workers(args))
@@ -431,10 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     graph = sub.add_parser("graph", help="build the coverage graph and audit it")
     graph.add_argument("--n", type=int, required=True)
     graph.add_argument("--audit", action="store_true",
-                       help="run the joint-coverage audit (exhaustive for n <= 6)")
-    graph.add_argument("--sample-pairs", type=int, default=None,
-                       help="sampled audit size for n beyond the exhaustive budget")
-    graph.add_argument("--seed", type=int, default=None, help="seed for --sample-pairs")
+                       help="run the joint-coverage audit over all pattern pairs "
+                       "(any n up to the enumeration limit)")
     graph.add_argument("--out", default=None)
     graph.set_defaults(handler=_cmd_graph)
 

@@ -18,12 +18,15 @@ from __future__ import annotations
 import dataclasses
 import os
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
 from .errors import ResourceLimitError
-from .perms import Permutation, format_perm, rank, unrank
+# `rank` is no longer called here, but the per-layer tracer
+# (perfbench/tracing.py) wraps `graph.rank` by name.
+from .perms import Permutation, rank, unrank  # noqa: F401
 
 DEFAULT_MAX_N = 8
 """Largest pattern length n for full enumeration of S_{n+1} by default.
@@ -31,15 +34,6 @@ DEFAULT_MAX_N = 8
 Memory and build time grow like (n+1)! * (n+1); n=8 means ranking all
 362880 permutations of length 9.  Override with PERMCOVER_MAX_N or the
 ``max_n`` argument.
-"""
-
-DEFAULT_AUDIT_MAX_N = 6
-"""Largest n for the exhaustive all-pairs joint-coverage audit."""
-
-DEFAULT_PAIR_BUDGET_N = 7
-"""Largest n for which the dense pattern-pair joint-count matrix is built.
-
-The matrix is (n!)^2 bytes: 25 MB at n=7, 1.6 GB at n=8.
 """
 
 
@@ -154,6 +148,14 @@ class PermSetBitmap:
             )
 
 
+class PairStats(NamedTuple):
+    """Joint coverage over ordered pairs of distinct patterns."""
+
+    n_pairs: np.ndarray  # [c]: ordered pairs sharing exactly c covers ([0] = 0)
+    partners: np.ndarray  # [p]: patterns sharing at least one cover with p
+    four_cover_pairs: np.ndarray  # (k, 2) rank pairs a < b sharing 4 covers, sorted
+
+
 class CoverageGraph:
     """Immutable incidence between ranked S_n and ranked S_{n+1}."""
 
@@ -165,7 +167,7 @@ class CoverageGraph:
         self.pattern_indptr = pattern_indptr
         self.pattern_data = pattern_data
         self.succ_counts = succ_counts
-        self._joint_counts = None
+        self._pair_stats = None
 
     # -- queries ------------------------------------------------------------
 
@@ -204,8 +206,7 @@ class CoverageGraph:
         """Patterns p' != p sharing at least one cover with p.
 
         Computed as the union of the pattern lists of p's covers, minus p
-        itself; the all-pairs audit cross-checks this against direct
-        cover-set intersections.
+        itself; its size is ``joint_count_matrix().partners[p]``.
         """
         self._check_pattern_rank(p)
         rows = [self.pattern_row(int(r)) for r in self.cover_ranks[p]]
@@ -213,22 +214,17 @@ class CoverageGraph:
         partners = partners[partners != p]
         return PermSetBitmap.from_indices(self.n, partners)
 
-    def joint_count_matrix(self) -> np.ndarray:
-        """Dense (n!, n!) matrix of joint-cover counts, zero diagonal.
+    def joint_count_matrix(self) -> PairStats:
+        """The sparse joint-coverage summary (PairStats), built once and cached.
 
-        Built once and cached; refused above DEFAULT_PAIR_BUDGET_N because
-        the matrix is (n!)^2 bytes.
+        It replaced a dense (n!, n!) matrix of joint-cover counts; the name
+        is kept because the per-layer tracer wraps this method by name.
         """
-        if self._joint_counts is None:
-            if self.n > DEFAULT_PAIR_BUDGET_N:
-                raise ResourceLimitError(
-                    f"joint-count matrix needs (n!)^2 bytes; n={self.n} exceeds "
-                    f"the pair budget n<={DEFAULT_PAIR_BUDGET_N}"
-                )
-            self._joint_counts = _kernels.joint_pair_counts(
-                self.pattern_indptr, self.pattern_data, self.n_patterns
-            )
-        return self._joint_counts
+        if self._pair_stats is None:
+            self._pair_stats = PairStats(*_kernels.joint_pair_counts(
+                self.cover_ranks, self.pattern_indptr, self.pattern_data
+            ))
+        return self._pair_stats
 
     def pattern_perm(self, p: int) -> Permutation:
         return unrank(self.n, p)
@@ -324,13 +320,11 @@ def build_graph(n: int, *, max_n: int | None = None) -> CoverageGraph:
 
 @dataclasses.dataclass
 class JointReport:
-    """Exhaustive (or sampled) summary of pairwise joint coverage."""
+    """Summary of pairwise joint coverage over all ordered pattern pairs."""
 
     n: int
-    exhaustive: bool
-    sample_size: int | None
     max_J: int
-    argmax_J: str | None
+    argmax_J: str
     max_C: int
     four_cover_pairs: list[tuple[int, int]]
     iff_adjacent_positions: bool
@@ -338,6 +332,8 @@ class JointReport:
     adjacent_swap_iff_holds: bool
     bounds_ok: bool
     violations: list[dict]
+
+    exhaustive = True  # every audit covers all pairs; the payload keeps the key
 
     @property
     def four_cover_pair_count(self) -> int:
@@ -347,7 +343,7 @@ class JointReport:
         return {
             "n": self.n,
             "exhaustive": self.exhaustive,
-            "sample_size": self.sample_size,
+            "sample_size": None,
             "max_J": self.max_J,
             "argmax_J": self.argmax_J,
             "max_C": self.max_C,
@@ -367,35 +363,27 @@ def _adjacent_swap_pairs(n: int):
     that the audit checks independently.
     """
     perms = _kernels.all_perms(n)
+    weights = _kernels.lehmer_weights(n)
+    ranks = np.arange(perms.shape[0])
     position_pairs = set()
     value_pairs = set()
-    for r in range(perms.shape[0]):
-        row = perms[r]
-        for i in range(n - 1):
-            swapped = row.copy()
-            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            r2 = int(rank(tuple(int(v) for v in swapped)))
-            pair = (min(r, r2), max(r, r2))
-            position_pairs.add(pair)
-            if abs(int(row[i]) - int(row[i + 1])) == 1:
-                value_pairs.add(pair)
+    for i in range(n - 1):
+        swapped = perms.copy()
+        swapped[:, [i, i + 1]] = perms[:, [i + 1, i]]
+        other = _kernels.lehmer_ranks(swapped, weights)
+        lower = ranks < other  # each unordered pair once
+        pairs = list(zip(ranks[lower].tolist(), other[lower].tolist()))
+        position_pairs.update(pairs)
+        step = np.abs(perms[:, i].astype(np.int16) - perms[:, i + 1])[lower]
+        value_pairs.update(pair for pair, s in zip(pairs, step.tolist()) if s == 1)
     return position_pairs, value_pairs
 
 
-def audit_joint_coverage(
-    g: CoverageGraph,
-    *,
-    max_exhaustive: int = DEFAULT_AUDIT_MAX_N,
-    sample_pairs: int | None = None,
-    seed: int = 0,
-    max_reported: int = 20,
-) -> JointReport:
+def audit_joint_coverage(g: CoverageGraph, *, max_reported: int = 20) -> JointReport:
     """Audit the pairwise joint-coverage structure of the graph.
 
-    Exhaustive over all ordered pattern pairs for n <= max_exhaustive;
-    beyond that a uniform random pair sample of size ``sample_pairs`` is
-    audited instead (max_J and the swap iff check then cover only the
-    sampled pairs).  Checks, and reports violations of:
+    Exhaustive over all ordered pattern pairs, from the graph's sparse pair
+    statistics.  Checks, and reports violations of:
 
     - every pair shares at most 4 covers,
     - every pattern has at most n^3 co-coverable partners,
@@ -403,73 +391,22 @@ def audit_joint_coverage(
       -swap pairs, under at least one of the two "adjacent" readings.
     """
     n = g.n
+    stats = g.joint_count_matrix()
+    max_c = int(np.flatnonzero(stats.n_pairs).max(initial=0))
+    max_j = int(stats.partners.max())
+    argmax_j = int(np.argmax(stats.partners))
+    four_pairs = list(map(tuple, stats.four_cover_pairs.tolist()))
+    four_set = set(four_pairs)
+
     violations: list[dict] = []
-
-    if n == 1:
-        return JointReport(
-            n=1, exhaustive=True, sample_size=None, max_J=0,
-            argmax_J=format_perm((1,)), max_C=0, four_cover_pairs=[],
-            iff_adjacent_positions=True, iff_adjacent_values=True,
-            adjacent_swap_iff_holds=True, bounds_ok=True, violations=[],
-        )
-
-    if n <= max_exhaustive:
-        counts = g.joint_count_matrix()
-        off_diag = counts.copy()
-        np.fill_diagonal(off_diag, 0)
-        max_c = int(off_diag.max())
-        partner_counts = (off_diag > 0).sum(axis=1)
-        max_j = int(partner_counts.max())
-        argmax_j = int(np.argmax(partner_counts))
-        a_idx, b_idx = np.nonzero(off_diag == 4)
-        four_pairs = [(int(a), int(b)) for a, b in zip(a_idx, b_idx) if a < b]
-        exhaustive = True
-        sample_size = None
-    elif sample_pairs is not None:
-        rng = np.random.default_rng(seed)
-        max_c = 0
-        max_j = 0
-        argmax_j = None
-        four_pairs = []
-        seen = 0
-        while seen < sample_pairs:
-            a = int(rng.integers(g.n_patterns))
-            b = int(rng.integers(g.n_patterns))
-            if a == b:
-                continue
-            seen += 1
-            c = (g.covers_of(a) & g.covers_of(b)).cardinality()
-            if c > max_c:
-                max_c = c
-            if c == 4:
-                four_pairs.append((min(a, b), max(a, b)))
-            j = g.co_coverable(a).cardinality()
-            if j > max_j:
-                max_j = j
-                argmax_j = a
-        exhaustive = False
-        sample_size = sample_pairs
-        four_pairs = sorted(set(four_pairs))
-    else:
-        raise ResourceLimitError(
-            f"exhaustive pair audit is limited to n<={max_exhaustive} "
-            f"(got n={g.n}); pass sample_pairs to sample instead"
-        )
-
     if max_c > 4:
         violations.append({"kind": "pair_cover_count_exceeds_4", "max_C": max_c})
     if max_j > n ** 3:
         violations.append({"kind": "joint_partner_count_exceeds_n3", "max_J": max_j})
 
-    four_set = set(four_pairs)
     position_pairs, value_pairs = _adjacent_swap_pairs(n)
-    if exhaustive:
-        iff_pos = four_set == position_pairs
-        iff_val = four_set == value_pairs
-    else:
-        # Sampled mode can only check one direction.
-        iff_pos = four_set <= position_pairs
-        iff_val = four_set <= value_pairs
+    iff_pos = four_set == position_pairs
+    iff_val = four_set == value_pairs
     holds = iff_pos or iff_val
 
     if not holds:
@@ -480,26 +417,23 @@ def audit_joint_coverage(
                     "pair": [str(g.pattern_perm(pair[0])), str(g.pattern_perm(pair[1]))],
                 }
             )
-        if exhaustive:
-            for pair in sorted(position_pairs - four_set)[:max_reported]:
-                violations.append(
-                    {
-                        "kind": "adjacent_position_swap_without_4_covers",
-                        "pair": [str(g.pattern_perm(pair[0])), str(g.pattern_perm(pair[1]))],
-                        "shared_covers": int(
-                            (g.covers_of(pair[0]) & g.covers_of(pair[1])).cardinality()
-                        ),
-                    }
-                )
+        for pair in sorted(position_pairs - four_set)[:max_reported]:
+            violations.append(
+                {
+                    "kind": "adjacent_position_swap_without_4_covers",
+                    "pair": [str(g.pattern_perm(pair[0])), str(g.pattern_perm(pair[1]))],
+                    "shared_covers": int(
+                        (g.covers_of(pair[0]) & g.covers_of(pair[1])).cardinality()
+                    ),
+                }
+            )
 
     return JointReport(
         n=n,
-        exhaustive=exhaustive,
-        sample_size=sample_size,
         max_J=max_j,
-        argmax_J=None if argmax_j is None else str(g.pattern_perm(argmax_j)),
+        argmax_J=str(g.pattern_perm(argmax_j)),
         max_C=max_c,
-        four_cover_pairs=sorted(four_set),
+        four_cover_pairs=four_pairs,
         iff_adjacent_positions=iff_pos,
         iff_adjacent_values=iff_val,
         adjacent_swap_iff_holds=holds,

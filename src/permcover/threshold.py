@@ -28,13 +28,7 @@ from math import exp, factorial, lgamma, log, log1p, sqrt, pi
 import numpy as np
 
 from . import _kernels
-from .graph import (
-    DEFAULT_PAIR_BUDGET_N,
-    CoverageGraph,
-    PermSetBitmap,
-    covers_per_pattern,
-    selection_flags,
-)
+from .graph import CoverageGraph, PermSetBitmap, covers_per_pattern, selection_flags
 
 Z95 = 1.959963984540054
 
@@ -99,24 +93,19 @@ def exact_mean(n: int, p: float) -> float:
     return exp(lgamma(n + 1) + covers_per_pattern(n) * log1p(-p))
 
 
-def _joint_count_histogram(g: CoverageGraph) -> np.ndarray:
-    counts = g.joint_count_matrix()
-    return np.bincount(counts.ravel())  # index 0 includes the diagonal; unused
-
-
 def exact_variance(g: CoverageGraph, p: float) -> float:
     """Exact Var(X) under the independent-selection model.
 
     Var(X) = n! q(1-q) + sum over ordered pattern pairs sharing c >= 1
     covers of ((1-p)^(2(n^2+1)-c) - q^2), with q = (1-p)^(n^2+1); pairs
-    with disjoint cover sets contribute nothing.  Needs the dense pair
-    count matrix, so it is limited to the same pair budget.
+    with disjoint cover sets contribute nothing.  The pair counts N_c come
+    from the graph's cached sparse pair statistics.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     k = covers_per_pattern(g.n)
     q = (1.0 - p) ** k
-    hist = _joint_count_histogram(g)
+    hist = g.joint_count_matrix().n_pairs
     var = factorial(g.n) * q * (1.0 - q)
     for c in range(1, hist.shape[0]):
         n_pairs = int(hist[c])
@@ -135,7 +124,7 @@ def stein_chen_raw(g: CoverageGraph, p: float) -> float:
         raise ValueError("p must be in [0, 1]")
     k = covers_per_pattern(g.n)
     q = (1.0 - p) ** k
-    hist = _joint_count_histogram(g)
+    hist = g.joint_count_matrix().n_pairs
     ratio_minus_one = -q
     nfact = factorial(g.n)
     for c in range(1, hist.shape[0]):
@@ -446,9 +435,9 @@ class GapReport:
     empirical_variance: float
     tv_to_poisson: float
     cover_probability: CoverProbability
-    stein_chen: float | None
-    stein_chen_raw: float | None
-    exact_variance: float | None
+    stein_chen: float
+    stein_chen_raw: float
+    exact_variance: float
     mean_ratio_decaying: float | None  # lambda_exact / (sqrt(2 pi) e^{-K})
     mean_ratio_growing: float | None  # lambda_exact / (sqrt(2 pi) e^{+K})
     warnings: list[str]
@@ -516,15 +505,8 @@ def gap_experiment(
     lo, hi = wilson_interval(covers, trials)
     cover_prob = CoverProbability(covers / trials, lo, hi, covers, trials)
 
-    if g.n <= DEFAULT_PAIR_BUDGET_N:
-        raw = stein_chen_raw(g, p)
-        sc = max(0.0, raw)
-        var_exact = exact_variance(g, p)
-    else:
-        raw = sc = var_exact = None
-        notes.append(
-            f"stein_chen/exact_variance skipped: pair budget is n<={DEFAULT_PAIR_BUDGET_N}"
-        )
+    raw = stein_chen_raw(g, p)
+    var_exact = exact_variance(g, p)
 
     if K_nominal is not None:
         base = sqrt(2.0 * pi)
@@ -545,7 +527,7 @@ def gap_experiment(
         empirical_variance=variance,
         tv_to_poisson=tv,
         cover_probability=cover_prob,
-        stein_chen=sc,
+        stein_chen=max(0.0, raw),
         stein_chen_raw=raw,
         exact_variance=var_exact,
         mean_ratio_decaying=ratio_dec,

@@ -58,6 +58,16 @@ class TestDispatch:
         kinds = {v["kind"] for v in doc["payload"]["violations"]}
         assert "four_cover_pair_not_adjacent_position_swap" in kinds
 
+    def test_graph_audit_n7(self, tmp_path, capsys):
+        out = tmp_path / "audit.json"
+        assert run(tmp_path, "graph", "--n", "7", "--audit", "--out", str(out)) == 1
+        doc = json.loads(out.read_text())
+        schema("audit.schema.json").validate(doc["payload"])
+        pay = doc["payload"]
+        assert (pay["max_C"], pay["max_J"], pay["four_cover_pair_count"]) == (4, 240, 27216)
+        assert pay["exhaustive"] is True and pay["sample_size"] is None
+        assert "max_J=240 max_C=4 four_cover_pairs=27216" in capsys.readouterr().out
+
     def test_graph_without_audit(self, tmp_path, capsys):
         assert run(tmp_path, "graph", "--n", "4") == 0
         assert "identities hold" in capsys.readouterr().out
@@ -85,6 +95,19 @@ class TestDispatch:
         doc = json.loads(out.read_text())
         assert doc["payload"]["K_nominal"] == 0.0
         assert doc["payload"]["mean_ratio_decaying"] is not None
+
+    def test_gap_n8_reports_pair_statistics(self, tmp_path):
+        out = tmp_path / "gap.json"
+        code = run(
+            tmp_path, "gap", "--n", "8", "--K=0", "--trials", "64", "--seed", "1",
+            "--out", str(out),
+        )
+        assert code == 0
+        doc = json.loads(out.read_text())
+        schema("gap_report.schema.json").validate(doc["payload"])
+        assert doc["payload"]["exact_variance"] > 0
+        assert doc["payload"]["stein_chen_bound"] >= 0
+        assert not [w for w in doc["warnings"] if "pair budget" in w]
 
     def test_threshold_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -4,6 +4,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from permcover import _kernels
 from permcover.errors import ResourceLimitError
 from permcover.graph import (
     PermSetBitmap,
@@ -183,14 +184,18 @@ class TestQueries:
             assert len(direct) <= 64
 
     def test_joint_count_matrix_matches_intersections(self, graph):
+        # the sparse pair statistics agree with joint_covers cardinalities
         g = graph(3)
-        counts = g.joint_count_matrix()
-        assert np.array_equal(counts, counts.T)
-        for p in range(6):
-            for q in range(6):
-                if p == q:
-                    continue
-                assert counts[p, q] == g.joint_covers(p, q).cardinality()
+        stats = g.joint_count_matrix()
+        shared = {(p, q): g.joint_covers(p, q).cardinality()
+                  for p in range(6) for q in range(6) if p != q}
+        n_pairs = np.bincount(list(shared.values()), minlength=stats.n_pairs.size)
+        n_pairs[0] = 0
+        assert np.array_equal(stats.n_pairs, n_pairs)
+        partners = [sum(shared[p, q] > 0 for q in range(6) if q != p) for p in range(6)]
+        assert stats.partners.tolist() == partners
+        four = sorted([p, q] for (p, q), c in shared.items() if c == 4 and p < q)
+        assert stats.four_cover_pairs.tolist() == four
 
     def test_rank_range_errors(self, graph):
         g = graph(3)
@@ -273,16 +278,68 @@ class TestAudit:
 
     def test_symmetry_of_co_coverability(self, graph):
         for n in (3, 4, 5):
-            counts = graph(n).joint_count_matrix()
-            assert np.array_equal(counts, counts.T)
+            g = graph(n)
+            stats = g.joint_count_matrix()
+            related = np.array([g.co_coverable(p).to_bool() for p in range(g.n_patterns)])
+            assert np.array_equal(related, related.T)
+            assert np.array_equal(stats.partners, related.sum(axis=1))
+            # every ordered pair is counted from both of its patterns
+            assert not np.any(stats.n_pairs % 2)
+            assert stats.n_pairs.sum() == stats.partners.sum()
 
-    def test_exhaustive_budget(self, graph):
-        with pytest.raises(ResourceLimitError):
-            audit_joint_coverage(graph(4), max_exhaustive=3)
 
-    def test_sampled_audit(self, graph):
-        rep = audit_joint_coverage(graph(4), max_exhaustive=3, sample_pairs=200, seed=1)
-        assert not rep.exhaustive
-        assert rep.sample_size == 200
-        assert rep.max_C <= 4
-        assert rep.max_J <= 64
+def _brute_force_pair_stats(n):
+    """N_c, partners per pattern and the four-cover pairs, from itertools
+    and np.add.at alone: patterns are ranked by their position in the
+    lexicographic itertools enumeration, each cover lists the distinct
+    standardized one-letter deletions, and every pair of patterns listed
+    by the same cover gains one shared cover."""
+    patterns = list(itertools.permutations(range(1, n + 1)))
+    index = {p: i for i, p in enumerate(patterns)}
+
+    def standardize(seq):
+        order = sorted(seq)
+        return tuple(order.index(v) + 1 for v in seq)
+
+    shared = np.zeros((len(patterns), len(patterns)), dtype=np.int64)
+    for cover in itertools.permutations(range(1, n + 2)):
+        listed = sorted({index[standardize(cover[:i] + cover[i + 1:])]
+                         for i in range(n + 1)})
+        pairs = np.array(list(itertools.permutations(listed, 2)), dtype=np.int64)
+        if pairs.size:
+            np.add.at(shared, (pairs[:, 0], pairs[:, 1]), 1)
+    n_pairs = np.bincount(shared.ravel(), minlength=n * n + 2)
+    n_pairs[0] = 0
+    a, b = np.nonzero(np.triu(shared == 4))
+    return n_pairs, (shared > 0).sum(axis=1), np.column_stack((a, b))
+
+
+class TestPairStats:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_brute_force(self, n, graph):
+        g = graph(n)
+        n_pairs, partners, four = _brute_force_pair_stats(n)
+        stats = g.joint_count_matrix()
+        assert np.array_equal(stats.n_pairs, n_pairs[: stats.n_pairs.size])
+        assert not n_pairs[stats.n_pairs.size:].any()
+        assert np.array_equal(stats.partners, partners)
+        assert np.array_equal(stats.four_cover_pairs, four)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_block_size_does_not_change_the_result(self, block, graph, monkeypatch):
+        g = graph(5)
+        monkeypatch.setattr(_kernels, "_PAIR_BLOCK", block)
+        blocked = _kernels.joint_pair_counts(g.cover_ranks, g.pattern_indptr, g.pattern_data)
+        for got, want in zip(blocked, g.joint_count_matrix()):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n, n_pairs, max_j, four", [
+        (7, [521208, 303432, 9320, 54432], 240, 27216),
+        (8, [7681248, 3439392, 61216, 512400], 378, 256200),
+    ])
+    def test_golden(self, n, n_pairs, max_j, four, graph):
+        stats = graph(n).joint_count_matrix()
+        assert stats.n_pairs[1:5].tolist() == n_pairs
+        assert not stats.n_pairs[5:].any()
+        assert int(stats.partners.max()) == max_j
+        assert len(stats.four_cover_pairs) == four

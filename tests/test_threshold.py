@@ -219,6 +219,20 @@ class TestExactMoments:
         se_var = sqrt(max(m4 - s2**2, 0.0) / trials)
         assert abs(s2 - exact_variance(g, p)) <= 3 * se_var
 
+    # Recorded from the dense (n!)^2 pair-count matrix before the sparse
+    # pair statistics replaced it: the gap workload's K values at n = 7.
+    @pytest.mark.parametrize("K, var, raw", [
+        (-1, 0.32849298969354157, 0.004241125182995843),
+        (0, 1.1238974194494067, 0.012270138202904912),
+        (1, 3.781944943458445, 0.0339538911089038),
+        (2, 12.744345872632493, 0.08950219365808158),
+    ])
+    def test_golden_n7(self, K, var, raw, graph):
+        g = graph(7)
+        p = critical_window_p(7, K)
+        assert exact_variance(g, p) == var
+        assert stein_chen_raw(g, p) == raw
+
     def test_invalid_p(self, graph):
         with pytest.raises(ValueError):
             exact_mean(3, -0.1)
