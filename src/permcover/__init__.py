@@ -32,7 +32,6 @@ from .errors import ResourceLimitError
 from .graph import (
     CoverageGraph,
     JointReport,
-    PermSetBitmap,
     audit_joint_coverage,
     build_graph,
     covers_per_pattern,
@@ -76,7 +75,6 @@ __all__ = [
     "CoverageGraph",
     "GapReport",
     "JointReport",
-    "PermSetBitmap",
     "Permutation",
     "ResourceLimitError",
     "SweepReport",

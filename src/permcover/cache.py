@@ -78,14 +78,14 @@ def load_certificate(
         with open(path) as fh:
             doc = json.load(fh)
         cert = CoverCertificate.from_json_dict(doc)
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except (json.JSONDecodeError, KeyError, ValueError, TypeError, AttributeError) as exc:
         _quarantine(path, f"unreadable: {exc}")
         return None
     if cert.n != g.n or cert.lam != lam:
         _quarantine(path, "key fields do not match the requested certificate")
         return None
     if cert.status in ("optimal", "feasible"):
-        result = verify_cover(g, cert.selection_bitmap(), lam)
+        result = verify_cover(g, cert.selected, lam)
         if not result.ok:
             _quarantine(path, f"{len(result.deficiencies)} deficient patterns")
             return None

@@ -167,7 +167,7 @@ def _cmd_solve(args) -> int:
         if not args.no_cache:
             store_certificate(cache_dir, cert)
 
-    result = verify_cover(g, cert.selection_bitmap(), lam)
+    result = verify_cover(g, cert.selected, lam)
     wall_ms = (time.perf_counter() - t0) * 1000.0
 
     config = {

@@ -19,8 +19,8 @@ from math import ceil, exp, factorial, lgamma, log
 import numpy as np
 
 from . import _kernels
-from .graph import CoverageGraph, PermSetBitmap, covers_per_pattern, selection_flags
-from .perms import format_perm, unrank, parse_perm, rank
+from .graph import CoverageGraph, covers_per_pattern, selection_flags
+from .perms import Permutation, format_perm, rank, unrank
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +162,6 @@ class CoverCertificate:
     def size(self) -> int:
         return len(self.selected)
 
-    def selection_bitmap(self) -> PermSetBitmap:
-        return PermSetBitmap.from_indices(self.n + 1, self.selected)
-
     def to_json_dict(self) -> dict:
         out = {
             "n": self.n,
@@ -184,7 +181,12 @@ class CoverCertificate:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CoverCertificate":
         n = int(doc["n"])
-        ranks = tuple(sorted(rank(parse_perm(s)) for s in doc["selected"]))
+        perms = [Permutation.parse(s) for s in doc["selected"]]
+        if any(p.n != n + 1 for p in perms):
+            raise ValueError(f"selected permutations must have length {n + 1}")
+        ranks = tuple(sorted(rank(p) for p in perms))
+        if len(set(ranks)) != len(ranks):
+            raise ValueError("duplicate selected permutation")
         return cls(
             n=n,
             lam=int(doc["lambda"]),

@@ -49,105 +49,6 @@ def covers_per_pattern(n: int) -> int:
     return n * n + 1
 
 
-class PermSetBitmap:
-    """Set of permutations of one length, as packed 64-bit membership words.
-
-    Membership is indexed by lexicographic rank.  Instances behave as
-    immutable values: set operations return new bitmaps.
-    """
-
-    __slots__ = ("level", "size", "words")
-
-    def __init__(self, level: int, words: np.ndarray):
-        self.level = level
-        self.size = factorial(level)
-        self.words = words
-
-    @classmethod
-    def empty(cls, level: int) -> "PermSetBitmap":
-        n_words = (factorial(level) + 63) // 64
-        return cls(level, np.zeros(n_words, dtype=np.uint64))
-
-    @classmethod
-    def full(cls, level: int) -> "PermSetBitmap":
-        out = cls.empty(level)
-        out.words[:] = np.uint64(0xFFFFFFFFFFFFFFFF)
-        out._mask_tail()
-        return out
-
-    @classmethod
-    def from_indices(cls, level: int, indices) -> "PermSetBitmap":
-        out = cls.empty(level)
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size:
-            if idx.min() < 0 or idx.max() >= out.size:
-                raise ValueError(
-                    f"rank out of range 0..{out.size - 1} for level {level}"
-                )
-            np.bitwise_or.at(
-                out.words,
-                idx >> 6,
-                np.left_shift(np.uint64(1), (idx & 63).astype(np.uint64)),
-            )
-        return out
-
-    @classmethod
-    def from_bool(cls, level: int, mask: np.ndarray) -> "PermSetBitmap":
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (factorial(level),):
-            raise ValueError(f"expected {factorial(level)} flags for level {level}")
-        return cls.from_indices(level, np.flatnonzero(mask))
-
-    def _mask_tail(self):
-        tail = self.size & 63
-        if tail:
-            self.words[-1] &= (np.uint64(1) << np.uint64(tail)) - np.uint64(1)
-
-    def cardinality(self) -> int:
-        return int(np.bitwise_count(self.words).sum())
-
-    def __len__(self) -> int:
-        return self.cardinality()
-
-    def __contains__(self, rank: int) -> bool:
-        if not 0 <= rank < self.size:
-            raise ValueError(f"rank {rank} out of range 0..{self.size - 1}")
-        return bool((self.words[rank >> 6] >> np.uint64(rank & 63)) & np.uint64(1))
-
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.to_bool())
-
-    def to_bool(self) -> np.ndarray:
-        bits = np.unpackbits(self.words.view(np.uint8), bitorder="little")
-        return bits[: self.size].astype(bool)
-
-    def __and__(self, other: "PermSetBitmap") -> "PermSetBitmap":
-        self._check_same_universe(other)
-        return PermSetBitmap(self.level, self.words & other.words)
-
-    def __or__(self, other: "PermSetBitmap") -> "PermSetBitmap":
-        self._check_same_universe(other)
-        return PermSetBitmap(self.level, self.words | other.words)
-
-    def __sub__(self, other: "PermSetBitmap") -> "PermSetBitmap":
-        self._check_same_universe(other)
-        return PermSetBitmap(self.level, self.words & ~other.words)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PermSetBitmap):
-            return NotImplemented
-        return self.level == other.level and bool(np.array_equal(self.words, other.words))
-
-    def __repr__(self) -> str:
-        return f"PermSetBitmap(level={self.level}, cardinality={self.cardinality()})"
-
-    def _check_same_universe(self, other: "PermSetBitmap"):
-        if self.level != other.level:
-            raise ValueError(
-                f"universe mismatch: level {self.level} vs {other.level}"
-            )
-
-
 class PairStats(NamedTuple):
     """Joint coverage over ordered pairs of distinct patterns."""
 
@@ -167,6 +68,8 @@ class CoverageGraph:
         self.pattern_indptr = pattern_indptr
         self.pattern_data = pattern_data
         self.succ_counts = succ_counts
+        for arr in (cover_ranks, pattern_indptr, pattern_data, succ_counts):
+            arr.flags.writeable = False  # the queries hand out views of these
         self._pair_stats = None
 
     # -- queries ------------------------------------------------------------
@@ -179,31 +82,27 @@ class CoverageGraph:
         if not 0 <= r < self.n_covers:
             raise ValueError(f"cover rank {r} out of range 0..{self.n_covers - 1}")
 
-    def covers_of(self, p: int) -> PermSetBitmap:
-        """All (n+1)-permutations containing pattern rank p (n^2+1 of them)."""
+    def covers_of(self, p: int) -> np.ndarray:
+        """Sorted ranks of the n^2+1 (n+1)-permutations containing pattern p."""
         self._check_pattern_rank(p)
-        return PermSetBitmap.from_indices(self.n + 1, self.cover_ranks[p])
-
-    def patterns_of(self, r: int) -> PermSetBitmap:
-        """Distinct one-letter-deletion patterns of cover rank r."""
-        self._check_cover_rank(r)
-        row = self.pattern_data[self.pattern_indptr[r] : self.pattern_indptr[r + 1]]
-        return PermSetBitmap.from_indices(self.n, row)
+        return self.cover_ranks[p]
 
     def pattern_row(self, r: int) -> np.ndarray:
+        """Sorted ranks of the distinct one-letter-deletion patterns of cover r."""
         self._check_cover_rank(r)
         return self.pattern_data[self.pattern_indptr[r] : self.pattern_indptr[r + 1]]
 
-    def joint_covers(self, p: int, p2: int) -> PermSetBitmap:
-        """Covers containing both patterns; equals covers_of(p) when p == p2."""
+    def joint_covers(self, p: int, p2: int) -> np.ndarray:
+        """Sorted ranks of the covers containing both patterns; equals
+        covers_of(p) when p == p2."""
         self._check_pattern_rank(p)
         self._check_pattern_rank(p2)
         if p == p2:
             return self.covers_of(p)
-        return self.covers_of(p) & self.covers_of(p2)
+        return np.intersect1d(self.cover_ranks[p], self.cover_ranks[p2], assume_unique=True)
 
-    def co_coverable(self, p: int) -> PermSetBitmap:
-        """Patterns p' != p sharing at least one cover with p.
+    def co_coverable(self, p: int) -> np.ndarray:
+        """Sorted ranks of the patterns p' != p sharing at least one cover with p.
 
         Computed as the union of the pattern lists of p's covers, minus p
         itself; its size is ``joint_count_matrix().partners[p]``.
@@ -211,8 +110,7 @@ class CoverageGraph:
         self._check_pattern_rank(p)
         rows = [self.pattern_row(int(r)) for r in self.cover_ranks[p]]
         partners = np.unique(np.concatenate(rows))
-        partners = partners[partners != p]
-        return PermSetBitmap.from_indices(self.n, partners)
+        return partners[partners != p]
 
     def joint_count_matrix(self) -> PairStats:
         """The sparse joint-coverage summary (PairStats), built once and cached.
@@ -229,28 +127,24 @@ class CoverageGraph:
     def pattern_perm(self, p: int) -> Permutation:
         return unrank(self.n, p)
 
-    def cover_perm(self, r: int) -> Permutation:
-        return unrank(self.n + 1, r)
-
 
 def selection_flags(g: CoverageGraph, sel) -> np.ndarray:
     """A selection of covers as a boolean mask over the ranks of S_{n+1}.
 
-    ``sel`` is a PermSetBitmap over S_{n+1}, a boolean mask of length
-    (n+1)!, or any other array-like read as the selected ranks.
+    ``sel`` is a boolean mask of length (n+1)!, or any other array-like
+    read as the selected ranks (possibly empty).
     """
-    if isinstance(sel, PermSetBitmap):
-        if sel.level != g.n + 1:
-            raise ValueError(
-                f"selection universe is S_{sel.level}, graph covers need S_{g.n + 1}"
-            )
-        return sel.to_bool()
     arr = np.asarray(sel)
     if arr.dtype == bool:
         if arr.shape != (g.n_covers,):
             raise ValueError(f"expected {g.n_covers} selection flags")
         return arr
-    return PermSetBitmap.from_indices(g.n + 1, arr).to_bool()
+    ranks = arr.astype(np.int64, copy=False)
+    if ranks.size and (ranks.min() < 0 or ranks.max() >= g.n_covers):
+        raise ValueError(f"rank out of range 0..{g.n_covers - 1} for S_{g.n + 1}")
+    flags = np.zeros(g.n_covers, dtype=bool)
+    flags[ranks] = True
+    return flags
 
 
 def build_graph(n: int, *, max_n: int | None = None) -> CoverageGraph:
@@ -326,7 +220,7 @@ class JointReport:
     max_J: int
     argmax_J: str
     max_C: int
-    four_cover_pairs: list[tuple[int, int]]
+    four_cover_pairs: np.ndarray  # (k, 2) rank pairs a < b, sorted, as in PairStats
     iff_adjacent_positions: bool
     iff_adjacent_values: bool
     adjacent_swap_iff_holds: bool
@@ -358,25 +252,27 @@ class JointReport:
 def _adjacent_swap_pairs(n: int):
     """Unordered rank pairs differing by one swap of adjacent positions.
 
-    Returns (all such pairs, the subset whose swapped values also differ
-    by exactly 1).  The two sets are the two readings of "adjacent swap"
-    that the audit checks independently.
+    Each pair a < b is the int64 key ``a * n! + b``, so key order is
+    lexicographic pair order.  Returns two sorted arrays of distinct keys:
+    all such pairs, and the subset whose swapped values also differ by
+    exactly 1.  They are the two readings of "adjacent swap" that the
+    audit checks independently.
     """
     perms = _kernels.all_perms(n)
-    weights = _kernels.lehmer_weights(n)
-    ranks = np.arange(perms.shape[0])
-    position_pairs = set()
-    value_pairs = set()
-    for i in range(n - 1):
-        swapped = perms.copy()
-        swapped[:, [i, i + 1]] = perms[:, [i + 1, i]]
-        other = _kernels.lehmer_ranks(swapped, weights)
-        lower = ranks < other  # each unordered pair once
-        pairs = list(zip(ranks[lower].tolist(), other[lower].tolist()))
-        position_pairs.update(pairs)
-        step = np.abs(perms[:, i].astype(np.int16) - perms[:, i + 1])[lower]
-        value_pairs.update(pair for pair, s in zip(pairs, step.tolist()) if s == 1)
-    return position_pairs, value_pairs
+    size = perms.shape[0]
+    swaps = np.arange(n - 1)
+    # swapped[a, i] is perms[a] with positions i and i+1 exchanged
+    swapped = np.repeat(perms[:, None, :], n - 1, axis=1)
+    swapped[:, swaps, swaps] = perms[:, swaps + 1]
+    swapped[:, swaps, swaps + 1] = perms[:, swaps]
+    other = _kernels.lehmer_ranks(
+        swapped.reshape(-1, n), _kernels.lehmer_weights(n)
+    ).reshape(size, n - 1)
+    ranks = np.arange(size, dtype=np.int64)[:, None]
+    keys = ranks * size + other
+    lower = ranks < other  # each unordered pair once
+    consecutive = np.abs(np.diff(perms.astype(np.int16), axis=1)) == 1
+    return np.sort(keys[lower]), np.sort(keys[lower & consecutive])
 
 
 def audit_joint_coverage(g: CoverageGraph, *, max_reported: int = 20) -> JointReport:
@@ -395,8 +291,8 @@ def audit_joint_coverage(g: CoverageGraph, *, max_reported: int = 20) -> JointRe
     max_c = int(np.flatnonzero(stats.n_pairs).max(initial=0))
     max_j = int(stats.partners.max())
     argmax_j = int(np.argmax(stats.partners))
-    four_pairs = list(map(tuple, stats.four_cover_pairs.tolist()))
-    four_set = set(four_pairs)
+    four_pairs = stats.four_cover_pairs.astype(np.int64)
+    four_keys = four_pairs[:, 0] * g.n_patterns + four_pairs[:, 1]
 
     violations: list[dict] = []
     if max_c > 4:
@@ -404,27 +300,29 @@ def audit_joint_coverage(g: CoverageGraph, *, max_reported: int = 20) -> JointRe
     if max_j > n ** 3:
         violations.append({"kind": "joint_partner_count_exceeds_n3", "max_J": max_j})
 
-    position_pairs, value_pairs = _adjacent_swap_pairs(n)
-    iff_pos = four_set == position_pairs
-    iff_val = four_set == value_pairs
+    position_keys, value_keys = _adjacent_swap_pairs(n)
+    iff_pos = np.array_equal(four_keys, position_keys)
+    iff_val = np.array_equal(four_keys, value_keys)
     holds = iff_pos or iff_val
 
     if not holds:
-        for pair in sorted(four_set - position_pairs)[:max_reported]:
+        extra = np.setdiff1d(four_keys, position_keys, assume_unique=True)
+        for key in extra[:max_reported].tolist():
+            a, b = divmod(key, g.n_patterns)
             violations.append(
                 {
                     "kind": "four_cover_pair_not_adjacent_position_swap",
-                    "pair": [str(g.pattern_perm(pair[0])), str(g.pattern_perm(pair[1]))],
+                    "pair": [str(g.pattern_perm(a)), str(g.pattern_perm(b))],
                 }
             )
-        for pair in sorted(position_pairs - four_set)[:max_reported]:
+        missing = np.setdiff1d(position_keys, four_keys, assume_unique=True)
+        for key in missing[:max_reported].tolist():
+            a, b = divmod(key, g.n_patterns)
             violations.append(
                 {
                     "kind": "adjacent_position_swap_without_4_covers",
-                    "pair": [str(g.pattern_perm(pair[0])), str(g.pattern_perm(pair[1]))],
-                    "shared_covers": int(
-                        (g.covers_of(pair[0]) & g.covers_of(pair[1])).cardinality()
-                    ),
+                    "pair": [str(g.pattern_perm(a)), str(g.pattern_perm(b))],
+                    "shared_covers": int(g.joint_covers(a, b).size),
                 }
             )
 
@@ -433,7 +331,7 @@ def audit_joint_coverage(g: CoverageGraph, *, max_reported: int = 20) -> JointRe
         max_J=max_j,
         argmax_J=str(g.pattern_perm(argmax_j)),
         max_C=max_c,
-        four_cover_pairs=four_pairs,
+        four_cover_pairs=stats.four_cover_pairs,
         iff_adjacent_positions=iff_pos,
         iff_adjacent_values=iff_val,
         adjacent_swap_iff_holds=holds,

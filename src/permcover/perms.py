@@ -7,7 +7,7 @@ pi is stored as the tuple (pi(1), ..., pi(n)).  All public interfaces are
 Ranks are lexicographic: ``rank`` maps a permutation of length n to its
 0-based position in the lexicographic ordering of S_n, via the factorial
 number system (Lehmer code), and ``unrank`` inverts it.  Dense ranks are
-what the incidence graphs and bitmaps are indexed by.
+what the incidence graph and selection masks are indexed by.
 """
 from __future__ import annotations
 

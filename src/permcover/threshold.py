@@ -28,7 +28,7 @@ from math import exp, factorial, lgamma, log, log1p, sqrt, pi
 import numpy as np
 
 from . import _kernels
-from .graph import CoverageGraph, PermSetBitmap, covers_per_pattern, selection_flags
+from .graph import CoverageGraph, covers_per_pattern, selection_flags
 
 Z95 = 1.959963984540054
 
@@ -64,15 +64,16 @@ def _selected_ranks(m: int, p: float, rng: np.random.Generator) -> np.ndarray:
     return rng.choice(m, size=k, replace=False, shuffle=False)
 
 
-def sample_selection(n: int, p: float, rng: np.random.Generator) -> PermSetBitmap:
-    """One random selection over S_{n+1}: each rank kept with probability p."""
-    return PermSetBitmap.from_indices(n + 1, _selected_ranks(factorial(n + 1), p, rng))
+def sample_selection(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """One random selection over S_{n+1}, each rank kept with probability p,
+    as the sorted selected ranks."""
+    return np.sort(_selected_ranks(factorial(n + 1), p, rng))
 
 
 def count_uncovered(g: CoverageGraph, sel) -> int:
     """Number of patterns with no selected cover under the given selection:
-    a bitmap over S_{n+1}, a boolean mask over its ranks, or an array of
-    selected ranks (see ``selection_flags``)."""
+    a boolean mask over the ranks of S_{n+1}, or an array of selected ranks
+    (see ``selection_flags``)."""
     packed = selection_flags(g, sel).astype(np.uint8)[None, :]  # one trial: bit 0
     x = _kernels.count_uncovered_chunk(g.cover_ranks, packed, 1)
     return int(x[0])

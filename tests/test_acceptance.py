@@ -28,7 +28,7 @@ from permcover.cover import (
     pigeonhole_lower_bound,
     verify_cover,
 )
-from permcover.graph import PermSetBitmap, audit_joint_coverage, covers_per_pattern
+from permcover.graph import audit_joint_coverage, covers_per_pattern
 from permcover.perms import Permutation, rank
 from permcover.threshold import (
     count_uncovered,
@@ -80,7 +80,7 @@ def test_1_cover_count_identity_exhaustive(graph):
         g = graph(n)
         per = covers_per_pattern(n)
         for p in range(g.n_patterns):
-            assert g.covers_of(p).cardinality() == per, (n, p)
+            assert g.covers_of(p).size == per, (n, p)
     ok = report(1, "every pattern has exactly n^2+1 covers, n=1..6", True,
                 f"{time.perf_counter() - t0:.1f}s")
     assert ok
@@ -105,12 +105,10 @@ def test_3_known_minimum_cover_sizes(graph):
     for n, expected in [(1, 1), (2, 1), (3, 2)]:
         cert = exact_min_cover(graph(n), 1, time_budget=60)
         assert cert.status == "optimal" and cert.size == expected, (n, cert)
-        assert verify_cover(graph(n), cert.selection_bitmap(), 1).ok
+        assert verify_cover(graph(n), cert.selected, 1).ok
 
     g3 = graph(3)
-    witness = PermSetBitmap.from_indices(
-        4, [rank(Permutation.parse("1342")), rank(Permutation.parse("4213"))]
-    )
+    witness = [rank(Permutation.parse("1342")), rank(Permutation.parse("4213"))]
     assert verify_cover(g3, witness, 1).ok
 
     g4 = graph(4)
@@ -118,7 +116,7 @@ def test_3_known_minimum_cover_sizes(graph):
     cert4 = exact_min_cover(g4, 1, time_budget=60)
     assert cert4.status == "optimal"
     assert 5 <= cert4.size <= greedy_size
-    assert verify_cover(g4, cert4.selection_bitmap(), 1).ok
+    assert verify_cover(g4, cert4.selected, 1).ok
 
     # independent oracle: plain combination enumeration, no branch-and-bound
     pat_bool = np.zeros((g4.n_covers, g4.n_patterns), dtype=bool)
@@ -202,7 +200,7 @@ def test_4b_adjacent_swap_iff_characterization(graph):
         rep = audit_joint_coverage(graph(n))
         assert rep.exhaustive, n
 
-        assert set(rep.four_cover_pairs) == four, n
+        assert set(map(tuple, rep.four_cover_pairs.tolist())) == four, n
         assert rep.four_cover_pair_count == len(four), n
         assert rep.iff_adjacent_positions == (four == positions), n
         assert rep.iff_adjacent_values == (four == values), n
@@ -259,7 +257,7 @@ def test_5_alteration_construction_beats_bound(graph):
     sizes = []
     for seed in range(100):
         cert = alteration_cover(g, seed)
-        assert verify_cover(g, cert.selection_bitmap(), 1).ok, seed
+        assert verify_cover(g, cert.selected, 1).ok, seed
         sizes.append(cert.size)
     assert min(sizes) <= bound
     ok = report(5, "100 random-then-patch covers verify; best beats the bound", True,
@@ -274,7 +272,7 @@ def test_6_multicover_construction(graph):
         floor = pigeonhole_lower_bound(6, lam)
         for seed in range(20):
             cert = lambda_cover(g, lam, seed)
-            assert verify_cover(g, cert.selection_bitmap(), lam).ok, (lam, seed)
+            assert verify_cover(g, cert.selected, lam).ok, (lam, seed)
             assert cert.size >= floor, (lam, seed, cert.size)
     ok = report(6, "multiplicity-2 and -3 covers verify across 20 seeds each", True,
                 f"{time.perf_counter() - t0:.1f}s")

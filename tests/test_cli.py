@@ -243,6 +243,26 @@ class TestCache:
         assert not path.exists()
         assert path.with_suffix(".json.quarantined").exists()
 
+    @pytest.mark.parametrize("extra", [
+        "54321",  # a permutation of the wrong length
+        None,  # a duplicate of a listed member
+        "1134",  # not a permutation
+        1342,  # not a string
+    ], ids=["wrong_length", "duplicate", "not_a_permutation", "not_a_string"])
+    def test_malformed_selected_quarantined(self, tmp_path, graph, extra):
+        # the entry still covers S_3, so only parsing can reject it
+        g = graph(3)
+        path = cache.store_certificate(tmp_path, exact_min_cover(g, 1, 30))
+        doc = json.loads(path.read_text())
+        doc["selected"].append(doc["selected"][0] if extra is None else extra)
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cache.load_certificate(tmp_path, g, 1, "exact", None) is None
+        assert any("failed validation (unreadable" in str(w.message) for w in caught)
+        assert not path.exists()
+        assert path.with_suffix(".json.quarantined").exists()
+
     def test_corrupt_json_quarantined(self, tmp_path, graph):
         g = graph(3)
         path = cache.certificate_path(tmp_path, cache.certificate_key(3, 1, "exact", None))

@@ -19,7 +19,6 @@ from permcover.cover import (
     pigeonhole_lower_bound,
     verify_cover,
 )
-from permcover.graph import PermSetBitmap
 from permcover.perms import Permutation, rank, reverse, unrank
 
 
@@ -120,12 +119,12 @@ class TestExpectedUncovered:
 class TestVerifyCover:
     def test_known_two_element_cover(self, graph):
         g = graph(3)
-        sel = PermSetBitmap.from_indices(4, ranks_of("1342", "4213"))
+        sel = ranks_of("1342", "4213")
         assert verify_cover(g, sel, 1).ok
 
     def test_deficiency_list(self, graph):
         g = graph(3)
-        sel = PermSetBitmap.from_indices(4, ranks_of("1342"))
+        sel = ranks_of("1342")
         result = verify_cover(g, sel, 1)
         assert not result.ok
         missing = {str(unrank(3, p)) for p, c in result.deficiencies}
@@ -138,11 +137,12 @@ class TestVerifyCover:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_everything_selected_is_a_cover(self, n, graph):
         g = graph(n)
-        assert verify_cover(g, PermSetBitmap.full(n + 1), 1).ok
+        assert verify_cover(g, range(g.n_covers), 1).ok
 
     def test_universe_mismatch(self, graph):
-        with pytest.raises(ValueError):
-            verify_cover(graph(3), PermSetBitmap.full(3), 1)
+        # a mask over S_3 is not a selection of the covers in S_4
+        with pytest.raises(ValueError, match="expected 24 selection flags"):
+            verify_cover(graph(3), [True] * 6, 1)
 
 
 class TestGreedy:
@@ -158,13 +158,13 @@ class TestGreedy:
     def test_n4_brackets(self, graph):
         g = graph(4)
         cert = greedy_cover(g)
-        assert verify_cover(g, cert.selection_bitmap(), 1).ok
+        assert verify_cover(g, cert.selected, 1).ok
         assert pigeonhole_lower_bound(4, 1) <= cert.size <= alteration_upper_bound(4)
 
     def test_multiplicity(self, graph):
         g = graph(3)
         cert = greedy_cover(g, lam=2)
-        assert verify_cover(g, cert.selection_bitmap(), 2).ok
+        assert verify_cover(g, cert.selected, 2).ok
 
     def test_lam_too_large(self, graph):
         with pytest.raises(ValueError):
@@ -175,7 +175,7 @@ class TestAlteration:
     def test_zero_initial_is_pure_patching(self, graph):
         g = graph(3)
         cert = alteration_cover(g, seed=5, initial_size=0)
-        assert verify_cover(g, cert.selection_bitmap(), 1).ok
+        assert verify_cover(g, cert.selected, 1).ok
         assert cert.size <= 6
         assert cert.initial_size == 0
 
@@ -198,14 +198,14 @@ class TestAlteration:
         g = graph(4)
         for seed in range(10):
             cert = alteration_cover(g, seed=seed)
-            assert verify_cover(g, cert.selection_bitmap(), 1).ok
+            assert verify_cover(g, cert.selected, 1).ok
 
 
 class TestLambdaCover:
     def test_n3_lam2(self, graph):
         g = graph(3)
         cert = lambda_cover(g, 2, seed=7)
-        assert verify_cover(g, cert.selection_bitmap(), 2).ok
+        assert verify_cover(g, cert.selected, 2).ok
         assert cert.size >= pigeonhole_lower_bound(3, 2) == 3
         assert cert.initial_size is not None
 
@@ -214,7 +214,7 @@ class TestLambdaCover:
         g = graph(3)
         cert = lambda_cover(g, 10, seed=0)
         assert cert.size == 24
-        assert verify_cover(g, cert.selection_bitmap(), 10).ok
+        assert verify_cover(g, cert.selected, 10).ok
 
     def test_domain_errors(self, graph):
         with pytest.raises(ValueError):
@@ -237,7 +237,7 @@ class TestExactMinCover:
             assert cert.status == "optimal"
             assert cert.size == expected
             assert cert.lower_bound == expected
-            assert verify_cover(g, cert.selection_bitmap(), 1).ok
+            assert verify_cover(g, cert.selected, 1).ok
 
     def test_size_at_least_pigeonhole(self, graph):
         for n in (1, 2, 3):
@@ -261,7 +261,7 @@ class TestExactMinCover:
         cert = exact_min_cover(g, 1, time_budget=1e-9)
         assert cert.status == "feasible"
         assert cert.lower_bound == pigeonhole_lower_bound(4, 1)
-        assert verify_cover(g, cert.selection_bitmap(), 1).ok
+        assert verify_cover(g, cert.selected, 1).ok
 
     def test_budget_must_be_positive(self, graph):
         with pytest.raises(ValueError):
@@ -271,7 +271,7 @@ class TestExactMinCover:
         g = graph(2)
         cert = exact_min_cover(g, 2, time_budget=30)
         assert cert.status == "optimal"
-        assert verify_cover(g, cert.selection_bitmap(), 2).ok
+        assert verify_cover(g, cert.selected, 2).ok
         assert cert.size >= pigeonhole_lower_bound(2, 2)
 
     def test_oracle_agrees_at_n3(self, graph):
@@ -284,9 +284,7 @@ class TestExactMinCover:
             g = graph(n)
             cert = greedy_cover(g)
             reversed_sel = [rank(reverse(unrank(n + 1, r))) for r in cert.selected]
-            assert verify_cover(
-                g, PermSetBitmap.from_indices(n + 1, reversed_sel), 1
-            ).ok
+            assert verify_cover(g, reversed_sel, 1).ok
 
 
 class TestCertificateSerialization:

@@ -7,18 +7,21 @@ import pytest
 from permcover import _kernels
 from permcover.errors import ResourceLimitError
 from permcover.graph import (
-    PermSetBitmap,
+    _adjacent_swap_pairs,
     audit_joint_coverage,
     build_graph,
     covers_per_pattern,
+    selection_flags,
 )
 from permcover.perms import (
+    SYMMETRY_OPS,
     Permutation,
     complement,
     covers,
     inverse,
     rank,
     reverse,
+    symmetry,
     unrank,
 )
 
@@ -27,43 +30,29 @@ def ranks_of(n, *strings):
     return {rank(Permutation.parse(s)) for s in strings}
 
 
-class TestBitmap:
-    def test_empty_full(self):
-        empty = PermSetBitmap.empty(4)
-        full = PermSetBitmap.full(4)
-        assert empty.cardinality() == 0
-        assert full.cardinality() == 24
-        assert 0 not in empty and 0 in full
+class TestSelectionFlags:
+    def test_ranks_and_mask_agree(self, graph):
+        g = graph(3)
+        flags = selection_flags(g, [0, 5, 23])
+        assert flags.dtype == bool and flags.shape == (24,)
+        assert np.flatnonzero(flags).tolist() == [0, 5, 23]
+        assert selection_flags(g, flags) is flags
+        assert np.array_equal(selection_flags(g, (23, 5, 0, 5)), flags)
 
-    def test_tail_bits_masked(self):
-        # 4! = 24 < 64: full() must not set bits past the universe
-        full = PermSetBitmap.full(4)
-        assert int(full.words[0]) == (1 << 24) - 1
+    def test_empty_selection(self, graph):
+        g = graph(3)
+        for empty in ([], (), np.empty(0, dtype=np.int64)):
+            assert not selection_flags(g, empty).any()
 
-    def test_from_indices_and_ops(self):
-        a = PermSetBitmap.from_indices(3, [0, 2, 5])
-        b = PermSetBitmap.from_indices(3, [2, 3])
-        assert (a & b).indices().tolist() == [2]
-        assert (a | b).indices().tolist() == [0, 2, 3, 5]
-        assert (a - b).indices().tolist() == [0, 5]
-        assert len(a) == 3 and 2 in a and 1 not in a
+    def test_rank_out_of_range(self, graph):
+        g = graph(3)
+        for bad in ([24], [-1], [0, 99]):
+            with pytest.raises(ValueError, match="rank out of range"):
+                selection_flags(g, bad)
 
-    def test_bool_round_trip(self):
-        mask = np.zeros(120, dtype=bool)
-        mask[[0, 63, 64, 119]] = True
-        bm = PermSetBitmap.from_bool(5, mask)
-        assert bm.cardinality() == 4
-        assert np.array_equal(bm.to_bool(), mask)
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            PermSetBitmap.from_indices(3, [6])
-        with pytest.raises(ValueError):
-            PermSetBitmap.from_bool(3, np.zeros(5, dtype=bool))
-        with pytest.raises(ValueError):
-            PermSetBitmap.empty(3) & PermSetBitmap.empty(4)
-        with pytest.raises(ValueError):
-            99 in PermSetBitmap.empty(3)
+    def test_wrong_length_mask(self, graph):
+        with pytest.raises(ValueError, match="expected 24 selection flags"):
+            selection_flags(graph(3), np.zeros(6, dtype=bool))
 
 
 class TestBuild:
@@ -73,7 +62,7 @@ class TestBuild:
         per = covers_per_pattern(n)
         assert g.cover_ranks.shape == (factorial(n), per)
         for p in range(g.n_patterns):
-            assert g.covers_of(p).cardinality() == per
+            assert g.covers_of(p).size == per
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_succession_identity(self, n, graph):
@@ -101,9 +90,9 @@ class TestBuild:
         g = graph(n)
         for p_rank, pi_vals in enumerate(itertools.permutations(range(1, n + 1))):
             pi = Permutation(pi_vals)
-            bitmap = g.covers_of(p_rank)
+            cover_set = set(g.covers_of(p_rank).tolist())
             for r_rank, rho_vals in enumerate(itertools.permutations(range(1, n + 2))):
-                assert (r_rank in bitmap) == covers(Permutation(rho_vals), pi)
+                assert (r_rank in cover_set) == covers(Permutation(rho_vals), pi)
 
     def test_n4_double_count(self, graph):
         # sum over S_5 of distinct patterns = 24 * 17
@@ -129,25 +118,25 @@ class TestBuild:
 class TestQueries:
     def test_patterns_of_examples(self, graph):
         g = graph(3)
-        row = g.patterns_of(rank(Permutation.parse("1342")))
-        assert {str(unrank(3, int(r))) for r in row.indices()} == {"123", "132", "231"}
-        row = g.patterns_of(rank(Permutation.parse("4213")))
-        assert {str(unrank(3, int(r))) for r in row.indices()} == {"213", "312", "321"}
-        row = g.patterns_of(rank(Permutation.parse("1234")))
-        assert {str(unrank(3, int(r))) for r in row.indices()} == {"123"}
+        row = g.pattern_row(rank(Permutation.parse("1342")))
+        assert [str(unrank(3, int(r))) for r in row] == ["123", "132", "231"]
+        row = g.pattern_row(rank(Permutation.parse("4213")))
+        assert [str(unrank(3, int(r))) for r in row] == ["213", "312", "321"]
+        row = g.pattern_row(rank(Permutation.parse("1234")))
+        assert [str(unrank(3, int(r))) for r in row] == ["123"]
 
     def test_covers_of_examples(self, graph):
         g1 = graph(1)
-        assert g1.covers_of(0).indices().tolist() == [0, 1]  # both of S_2
+        assert g1.covers_of(0).tolist() == [0, 1]  # both of S_2
 
         g2 = graph(2)
-        sel = g2.covers_of(rank(Permutation.parse("12")))
-        assert sel.cardinality() == 5
+        sel = g2.covers_of(rank(Permutation.parse("12"))).tolist()
+        assert len(sel) == 5 and sel == sorted(sel)
         assert rank(Permutation.parse("321")) not in sel  # 321's deletions all give 21
 
         g3 = graph(3)
-        sel = g3.covers_of(rank(Permutation.parse("123")))
-        assert sel.cardinality() == 10
+        sel = g3.covers_of(rank(Permutation.parse("123"))).tolist()
+        assert len(sel) == 10 and sel == sorted(sel)
         assert rank(Permutation.parse("1234")) in sel
 
     def test_joint_covers_examples(self, graph):
@@ -156,21 +145,20 @@ class TestQueries:
         r132 = rank(Permutation.parse("132"))
         r321 = rank(Permutation.parse("321"))
         joint = g.joint_covers(r123, r132)
-        assert {str(unrank(4, int(r))) for r in joint.indices()} == {
-            "1243", "1324", "1342", "1423",
-        }
-        assert g.joint_covers(r123, r321).cardinality() == 0
-        assert g.joint_covers(r123, r123).cardinality() == 10
+        assert [str(unrank(4, int(r))) for r in joint] == ["1243", "1324", "1342", "1423"]
+        assert g.joint_covers(r123, r321).size == 0
+        assert np.array_equal(g.joint_covers(r123, r123), g.covers_of(r123))
 
     def test_co_coverable_examples(self, graph):
         g = graph(3)
         r123 = rank(Permutation.parse("123"))
-        partners = g.co_coverable(r123)
+        partners = g.co_coverable(r123).tolist()
+        assert partners == sorted(partners)
         assert rank(Permutation.parse("132")) in partners
         assert rank(Permutation.parse("321")) not in partners
         assert r123 not in partners  # excludes itself
 
-        assert graph(1).co_coverable(0).cardinality() == 0
+        assert graph(1).co_coverable(0).size == 0
 
     def test_co_coverable_matches_pairwise_brute_force_n4(self, graph):
         g = graph(4)
@@ -178,16 +166,16 @@ class TestQueries:
             direct = {
                 q
                 for q in range(g.n_patterns)
-                if q != p and g.joint_covers(p, q).cardinality() > 0
+                if q != p and g.joint_covers(p, q).size > 0
             }
-            assert set(g.co_coverable(p).indices().tolist()) == direct
+            assert g.co_coverable(p).tolist() == sorted(direct)
             assert len(direct) <= 64
 
     def test_joint_count_matrix_matches_intersections(self, graph):
         # the sparse pair statistics agree with joint_covers cardinalities
         g = graph(3)
         stats = g.joint_count_matrix()
-        shared = {(p, q): g.joint_covers(p, q).cardinality()
+        shared = {(p, q): g.joint_covers(p, q).size
                   for p in range(6) for q in range(6) if p != q}
         n_pairs = np.bincount(list(shared.values()), minlength=stats.n_pairs.size)
         n_pairs[0] = 0
@@ -197,12 +185,19 @@ class TestQueries:
         four = sorted([p, q] for (p, q), c in shared.items() if c == 4 and p < q)
         assert stats.four_cover_pairs.tolist() == four
 
+    def test_queries_return_read_only_views(self, graph):
+        # covers_of and pattern_row hand out views of the shared graph arrays
+        g = graph(3)
+        for view in (g.covers_of(0), g.pattern_row(0)):
+            with pytest.raises(ValueError):
+                view[0] = 1
+
     def test_rank_range_errors(self, graph):
         g = graph(3)
         with pytest.raises(ValueError):
             g.covers_of(6)
         with pytest.raises(ValueError):
-            g.patterns_of(24)
+            g.pattern_row(24)
         with pytest.raises(ValueError):
             g.joint_covers(0, -1)
 
@@ -252,35 +247,71 @@ class TestAudit:
         g = graph(3)
         rep = audit_joint_coverage(g)
         assert not rep.adjacent_swap_iff_holds
-        from permcover.graph import _adjacent_swap_pairs
-
-        position_pairs, _ = _adjacent_swap_pairs(3)
+        position_keys, _ = _adjacent_swap_pairs(3)
+        four_keys = rep.four_cover_pairs[:, 0] * 6 + rep.four_cover_pairs[:, 1]
         extras = {
-            tuple(str(unrank(3, r)) for r in pair)
-            for pair in set(rep.four_cover_pairs) - position_pairs
+            tuple(str(unrank(3, r)) for r in divmod(int(key), 6))
+            for key in np.setdiff1d(four_keys, position_keys)
         }
         assert extras == {("132", "213"), ("132", "231"), ("213", "312"), ("231", "312")}
         joint = g.joint_covers(
             rank(Permutation.parse("132")), rank(Permutation.parse("213"))
         )
-        assert {str(unrank(4, int(r))) for r in joint.indices()} == {
-            "1324", "2143", "2413", "3142",
-        }
+        assert [str(unrank(4, int(r))) for r in joint] == ["1324", "2143", "2413", "3142"]
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_adjacent_swaps_always_give_four(self, n, graph):
         # the "if" direction does hold on every audited n
-        from permcover.graph import _adjacent_swap_pairs
-
         rep = audit_joint_coverage(graph(n))
-        position_pairs, _ = _adjacent_swap_pairs(n)
-        assert position_pairs <= set(rep.four_cover_pairs)
+        position_keys, _ = _adjacent_swap_pairs(n)
+        four_keys = rep.four_cover_pairs[:, 0] * factorial(n) + rep.four_cover_pairs[:, 1]
+        assert np.isin(position_keys, four_keys).all()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_adjacent_swap_pairs_match_loop(self, n):
+        # per-permutation loop over itertools as the reference for the keys
+        perms = list(itertools.permutations(range(1, n + 1)))
+        index = {p: i for i, p in enumerate(perms)}
+        positions, values = set(), set()
+        for a, p in enumerate(perms):
+            for i in range(n - 1):
+                q = list(p)
+                q[i], q[i + 1] = q[i + 1], q[i]
+                b = index[tuple(q)]
+                if a < b:
+                    positions.add(a * len(perms) + b)
+                    if abs(p[i] - p[i + 1]) == 1:
+                        values.add(a * len(perms) + b)
+        position_keys, value_keys = _adjacent_swap_pairs(n)
+        assert position_keys.dtype == value_keys.dtype == np.int64
+        assert position_keys.tolist() == sorted(positions)
+        assert value_keys.tolist() == sorted(values)
+
+    def test_position_swap_without_four_covers_is_reported(self):
+        # this violation never occurs on a correct graph, so feed the audit
+        # pair statistics with one position swap (123, 132) dropped
+        g = build_graph(3)
+        stats = g.joint_count_matrix()
+        dropped = [rank(Permutation.parse("123")), rank(Permutation.parse("132"))]
+        kept = [pair for pair in stats.four_cover_pairs.tolist() if pair != dropped]
+        assert len(kept) == len(stats.four_cover_pairs) - 1
+        g._pair_stats = stats._replace(four_cover_pairs=np.array(kept))
+        rep = audit_joint_coverage(g)
+        assert rep.four_cover_pair_count == 9 and not rep.iff_adjacent_positions
+        missing = [v for v in rep.violations
+                   if v["kind"] == "adjacent_position_swap_without_4_covers"]
+        assert missing == [{
+            "kind": "adjacent_position_swap_without_4_covers",
+            "pair": ["123", "132"],
+            "shared_covers": 4,
+        }]
 
     def test_symmetry_of_co_coverability(self, graph):
         for n in (3, 4, 5):
             g = graph(n)
             stats = g.joint_count_matrix()
-            related = np.array([g.co_coverable(p).to_bool() for p in range(g.n_patterns)])
+            related = np.array([np.isin(np.arange(g.n_patterns), g.co_coverable(p))
+                                for p in range(g.n_patterns)])
             assert np.array_equal(related, related.T)
             assert np.array_equal(stats.partners, related.sum(axis=1))
             # every ordered pair is counted from both of its patterns
@@ -332,6 +363,19 @@ class TestPairStats:
         blocked = _kernels.joint_pair_counts(g.cover_ranks, g.pattern_indptr, g.pattern_data)
         for got, want in zip(blocked, g.joint_count_matrix()):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_four_cover_pairs_closed_under_symmetries(self, n, graph):
+        # containment is invariant under reverse, complement and inverse, so
+        # the four-cover pair set must be closed under the group they
+        # generate; closure under the generators is enough
+        four = graph(n).joint_count_matrix().four_cover_pairs
+        pairs = set(map(tuple, four.tolist()))
+        assert pairs
+        for op in SYMMETRY_OPS:
+            image = np.array([rank(symmetry(unrank(n, p), op)) for p in range(factorial(n))])
+            mapped = set(map(tuple, np.sort(image[four], axis=1).tolist()))
+            assert mapped == pairs, op
 
     @pytest.mark.parametrize("n, n_pairs, max_j, four", [
         (7, [521208, 303432, 9320, 54432], 240, 27216),

@@ -1,3 +1,4 @@
+import doctest
 import itertools
 from math import factorial
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import permcover.perms
 from permcover.perms import (
     Permutation,
     complement,
@@ -199,3 +201,9 @@ class TestSerialization:
             Permutation(())
         with pytest.raises(ValueError):
             parse_perm("")
+
+
+def test_doctests():
+    result = doctest.testmod(permcover.perms)
+    assert result.failed == 0
+    assert result.attempted >= 15

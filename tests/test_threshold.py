@@ -6,7 +6,6 @@ import pytest
 
 from permcover import _kernels
 from permcover.cover import verify_cover
-from permcover.graph import PermSetBitmap
 from permcover.perms import Permutation, rank
 from permcover.threshold import (
     count_uncovered,
@@ -58,14 +57,21 @@ class TestTrialRng:
 
 class TestSampling:
     def test_degenerate_probabilities(self):
-        assert sample_selection(3, 0.0, trial_rng(0, 0)).cardinality() == 0
-        assert sample_selection(3, 1.0, trial_rng(0, 0)).cardinality() == 24
+        assert sample_selection(3, 0.0, trial_rng(0, 0)).size == 0
+        assert sample_selection(3, 1.0, trial_rng(0, 0)).tolist() == list(range(24))
+
+    def test_sorted_distinct_ranks(self):
+        for t in range(50):
+            sel = sample_selection(3, 0.4, trial_rng(3, t))
+            assert sel.dtype == np.int64
+            assert np.all(np.diff(sel) > 0)
+            assert sel.size == 0 or (sel[0] >= 0 and sel[-1] < 24)
 
     def test_mean_cardinality(self):
         # Binomial(24, 1/2): mean 12, sd sqrt(6); 3 standard errors over 1e4 trials
         trials = 10_000
         total = sum(
-            sample_selection(3, 0.5, trial_rng(7, t)).cardinality()
+            sample_selection(3, 0.5, trial_rng(7, t)).size
             for t in range(trials)
         )
         se = sqrt(24 * 0.25 / trials)
@@ -78,7 +84,7 @@ class TestSampling:
         m = 24
         counts = np.zeros(m)
         for t in range(trials):
-            counts += sample_selection(3, 0.3, trial_rng(11, t)).to_bool()
+            counts += np.bincount(sample_selection(3, 0.3, trial_rng(11, t)), minlength=m)
         se = sqrt(0.3 * 0.7 / trials)
         assert np.all(np.abs(counts / trials - 0.3) <= 4 * se)
 
@@ -90,19 +96,19 @@ class TestSampling:
 class TestCountUncovered:
     def test_empty_and_full(self, graph):
         g = graph(3)
-        assert count_uncovered(g, PermSetBitmap.empty(4)) == 6
-        assert count_uncovered(g, PermSetBitmap.full(4)) == 0
+        assert count_uncovered(g, np.zeros(24, dtype=bool)) == 6
+        assert count_uncovered(g, []) == 6
+        assert count_uncovered(g, np.ones(24, dtype=bool)) == 0
+        assert count_uncovered(g, np.arange(24)) == 0
 
     def test_known_cover_leaves_nothing(self, graph):
         g = graph(3)
-        sel = PermSetBitmap.from_indices(
-            4, [rank(Permutation.parse("1342")), rank(Permutation.parse("4213"))]
-        )
+        sel = [rank(Permutation.parse("1342")), rank(Permutation.parse("4213"))]
         assert count_uncovered(g, sel) == 0
 
     def test_universe_mismatch(self, graph):
         with pytest.raises(ValueError):
-            count_uncovered(graph(3), PermSetBitmap.full(3))
+            count_uncovered(graph(3), np.ones(6, dtype=bool))
 
     def test_rank_array_read_as_ranks(self, graph):
         # an integer array as long as S_{n+1} still lists ranks, not flags,
@@ -112,7 +118,7 @@ class TestCountUncovered:
         ranks[:2] = [5, 17]
         x = count_uncovered(g, ranks)
         assert x == len(verify_cover(g, ranks).deficiencies) == 2
-        assert x == count_uncovered(g, PermSetBitmap.from_indices(4, [0, 5, 17]))
+        assert x == count_uncovered(g, [0, 5, 17])
 
 
 def reference_uncovered(cover_ranks, flags):
@@ -156,7 +162,7 @@ class TestBitSlicedKernel:
         p, trials, seed, stream = 0.2, 300, 3, 1
         hist = run_uncovered_counts(g, p, trials, seed, stream=stream)
         flags = np.array([
-            sample_selection(4, p, trial_rng(seed, t, stream)).to_bool()
+            np.isin(np.arange(g.n_covers), sample_selection(4, p, trial_rng(seed, t, stream)))
             for t in range(trials)
         ])
         expected = np.bincount(
@@ -375,8 +381,7 @@ class TestMonteCarlo:
         misses = 0
         for t in range(trials):
             sel = sample_selection(3, p, trial_rng(21, t))
-            flags = sel.to_bool()
-            if not flags[row].any():
+            if not np.isin(row, sel).any():
                 misses += 1
         expected = (1 - p) ** 10
         se = sqrt(expected * (1 - expected) / trials)
