@@ -2,9 +2,10 @@
 
 Layout: <cache_dir>/<n>-<lambda>-<method>-<seed>.json, one bare
 certificate document per file.  Stores are atomic (write to a temp file
-in the same directory, then rename); loads re-verify the certificate
-against a freshly built graph and quarantine anything that fails, so a
-corrupt or tampered entry can never be silently reused.
+in the same directory, then rename).  A load reads only the entry's
+``selected`` list, re-verifies it against a freshly built graph and
+derives everything else from the request, so a corrupt or tampered entry
+is either quarantined or has nothing left to claim.
 """
 from __future__ import annotations
 
@@ -14,7 +15,12 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from .cover import CoverCertificate, verify_cover
+from .cover import (
+    CoverCertificate,
+    default_initial_size,
+    parse_selected,
+    verify_cover,
+)
 from .graph import CoverageGraph
 
 DEFAULT_CACHE_DIR = "permcover-cache"
@@ -65,31 +71,40 @@ def _quarantine(path: Path, reason: str):
 def load_certificate(
     cache_dir: str | Path, g: CoverageGraph, lam: int, method: str, seed: int | None
 ) -> CoverCertificate | None:
-    """Load and re-verify a cached certificate; None on miss or failure.
+    """Rebuild a cached certificate from the request and its re-verified
+    ``selected``; None on a miss or a quarantined entry.
 
-    A loadable but non-verifying entry is quarantined with a warning and
-    treated as a miss.
+    Only completed exact searches are stored, so the key makes an exact
+    entry optimal; one not marked "optimal" is an older version's
+    timed-out result.  Randomized entries hold the default initial size,
+    since requests that set their own bypass the cache.  Entries breaking
+    either rule are quarantined like unreadable or non-verifying ones.
     """
     key = certificate_key(g.n, lam, method, seed)
     path = certificate_path(cache_dir, key)
     if not path.exists():
         return None
+    initial_size = default_initial_size(method, g.n, lam)
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        cert = CoverCertificate.from_json_dict(doc)
+        selected = parse_selected(g.n, doc["selected"])
+        status, stored_size = doc.get("status"), doc.get("initial_size")
     except (json.JSONDecodeError, KeyError, ValueError, TypeError, AttributeError) as exc:
         _quarantine(path, f"unreadable: {exc}")
         return None
-    if cert.n != g.n or cert.lam != lam:
-        _quarantine(path, "key fields do not match the requested certificate")
+    if method == "exact" and status != "optimal":
+        _quarantine(path, f"exact entry has status {status!r}, not 'optimal'")
         return None
-    if cert.status in ("optimal", "feasible"):
-        result = verify_cover(g, cert.selected, lam)
-        if not result.ok:
-            _quarantine(path, f"{len(result.deficiencies)} deficient patterns")
-            return None
-    return cert
+    if stored_size != initial_size:
+        _quarantine(path, f"initial_size {stored_size!r} is not the default {initial_size!r}")
+        return None
+    result = verify_cover(g, selected, lam)
+    if not result.ok:
+        _quarantine(path, f"{len(result.deficiencies)} deficient patterns")
+        return None
+    return CoverCertificate(g.n, lam, method, selected, seed, initial_size,
+                            optimal=method == "exact")
 
 
 def best_known_size(cache_dir: str | Path, n: int, lam: int) -> tuple[int, str] | None:

@@ -12,8 +12,8 @@ PERMCOVER_MAX_N, PERMCOVER_WORKERS) > built-in defaults.
 
 Envelope layout: the scientific payload is reproducible bit-for-bit from
 the echoed config (same seeds, any worker count); volatile run facts
-(timestamp, wall time, worker count) live in a separate "execution"
-block so payload comparisons stay byte-stable.
+(timestamp, wall time, worker count, numpy version) live in a separate
+"execution" block so payload comparisons stay byte-stable.
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -88,6 +89,7 @@ def _write_envelope(args, out_path, subcommand: str, config: dict, payload: dict
             "created_utc": datetime.now(timezone.utc).isoformat(),
             "wall_time_ms": wall_ms,
             "workers": workers,
+            "numpy": np.__version__,
         },
         "warnings": warnings_list,
         "payload": payload,
@@ -140,15 +142,15 @@ def _cmd_solve(args) -> int:
     cache_dir = _resolve_cache_dir(args)
     notes: list[str] = []
 
+    # A request with its own initial size neither reads nor writes the
+    # cache: the key names only the method's default.
+    use_cache = not args.no_cache and args.initial_size is None
     cert = None
-    if not args.no_cache:
-        import warnings as _warnings
-
-        with _warnings.catch_warnings(record=True) as caught:
-            _warnings.simplefilter("always")
+    if use_cache:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             cert = load_certificate(cache_dir, g, lam, method, seed)
-        for w in caught:
-            notes.append(str(w.message))
+        notes.extend(str(w.message) for w in caught)
         if cert is not None:
             _say(args, f"cache hit: {cache_dir}")
 
@@ -164,7 +166,9 @@ def _cmd_solve(args) -> int:
             cert = alteration_cover(g, seed, initial_size=args.initial_size)
         else:
             cert = lambda_cover(g, lam, seed, draws=args.initial_size)
-        if not args.no_cache:
+        # A timed-out exact search would make the stored result depend on
+        # the budget, so only a completed one is kept.
+        if use_cache and (method != "exact" or cert.optimal):
             store_certificate(cache_dir, cert)
 
     result = verify_cover(g, cert.selected, lam)

@@ -93,6 +93,13 @@ def multicover_default_draws(n: int, lam: int) -> int:
     return round(factorial(n + 1) / k * (log(n) + (lam - 1) * log(log(n))))
 
 
+def default_initial_size(method: str, n: int, lam: int) -> int | None:
+    """The initial sample size ``method`` uses when none is given."""
+    if method == "alteration":
+        return alteration_default_initial_size(n)
+    return multicover_default_draws(n, lam) if method == "lambda" else None
+
+
 def expected_uncovered_without_replacement(n: int, draws: int) -> float:
     """Exact expected number of uncovered patterns after sampling ``draws``
     distinct (n+1)-permutations uniformly.
@@ -138,29 +145,34 @@ def verify_cover(g: CoverageGraph, sel, lam: int = 1) -> VerifyResult:
     )
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class CoverCertificate:
-    """A selected subset of S_{n+1} with its provenance and status.
+    """A selected subset of S_{n+1} with the request that produced it.
 
-    status is "optimal" (solver-proved minimum), "feasible" (verifies but
-    not proved minimal), or "infeasible-budget" (solver interrupted with
-    no verified incumbent; never produced by the constructions here since
-    greedy always completes).
+    Everything else is derived.  ``optimal`` is True only when the exact
+    search completed: status "optimal" with lower_bound == size.  Any
+    other cover is "feasible" with the pigeonhole lower bound.
     """
 
     n: int
     lam: int
     method: str
-    status: str
     selected: tuple[int, ...]  # cover ranks, sorted ascending
-    lower_bound: int
     seed: int | None = None
-    wall_time_ms: float = 0.0
     initial_size: int | None = None  # randomized constructions: initial Y
+    optimal: bool = False
 
     @property
     def size(self) -> int:
         return len(self.selected)
+
+    @property
+    def status(self) -> str:
+        return "optimal" if self.optimal else "feasible"
+
+    @property
+    def lower_bound(self) -> int:
+        return self.size if self.optimal else pigeonhole_lower_bound(self.n, self.lam)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -172,32 +184,25 @@ class CoverCertificate:
             "lower_bound": self.lower_bound,
             "selected": [format_perm(unrank(self.n + 1, r).values) for r in self.selected],
             "seed": self.seed,
-            "wall_time_ms": self.wall_time_ms,
         }
         if self.initial_size is not None:
             out["initial_size"] = self.initial_size
         return out
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "CoverCertificate":
-        n = int(doc["n"])
-        perms = [Permutation.parse(s) for s in doc["selected"]]
-        if any(p.n != n + 1 for p in perms):
-            raise ValueError(f"selected permutations must have length {n + 1}")
-        ranks = tuple(sorted(rank(p) for p in perms))
-        if len(set(ranks)) != len(ranks):
-            raise ValueError("duplicate selected permutation")
-        return cls(
-            n=n,
-            lam=int(doc["lambda"]),
-            method=str(doc["method"]),
-            status=str(doc["status"]),
-            selected=ranks,
-            lower_bound=int(doc["lower_bound"]),
-            seed=None if doc.get("seed") is None else int(doc["seed"]),
-            wall_time_ms=float(doc.get("wall_time_ms", 0.0)),
-            initial_size=None if doc.get("initial_size") is None else int(doc["initial_size"]),
-        )
+
+def parse_selected(n: int, selected) -> tuple[int, ...]:
+    """Sorted ranks of a serialized ``selected`` list of (n+1)-permutations.
+
+    Raises ValueError on an entry that is not an (n+1)-permutation or
+    that repeats an earlier one.
+    """
+    perms = [Permutation.parse(s) for s in selected]
+    if any(p.n != n + 1 for p in perms):
+        raise ValueError(f"selected permutations must have length {n + 1}")
+    ranks = tuple(sorted(rank(p) for p in perms))
+    if len(set(ranks)) != len(ranks):
+        raise ValueError("duplicate selected permutation")
+    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -207,21 +212,12 @@ class CoverCertificate:
 def greedy_cover(g: CoverageGraph, lam: int = 1) -> CoverCertificate:
     """Deterministic max-residual-coverage greedy (ties to lowest rank)."""
     _check_lam(g, lam)
-    t0 = time.perf_counter()
     picks, remaining = _kernels.greedy_select(
         g.pattern_indptr, g.pattern_data, g.n_patterns, lam
     )
     if remaining:
         raise RuntimeError("greedy could not complete the cover")  # unreachable for valid lam
-    return CoverCertificate(
-        n=g.n,
-        lam=lam,
-        method="greedy",
-        status="feasible",
-        selected=tuple(sorted(int(r) for r in picks)),
-        lower_bound=pigeonhole_lower_bound(g.n, lam),
-        wall_time_ms=(time.perf_counter() - t0) * 1000.0,
-    )
+    return CoverCertificate(g.n, lam, "greedy", tuple(sorted(int(r) for r in picks)))
 
 
 def _check_lam(g: CoverageGraph, lam: int):
@@ -233,24 +229,23 @@ def _check_lam(g: CoverageGraph, lam: int):
         )
 
 
-def _patch_uncovered(g: CoverageGraph, flags: np.ndarray, lam: int) -> int:
-    """Add covers until every pattern reaches multiplicity lam.
+def _patch_uncovered(g: CoverageGraph, picks: np.ndarray, lam: int) -> tuple[int, ...]:
+    """Select ``picks``, then add covers until every pattern reaches
+    multiplicity lam; returns the selected ranks, sorted.
 
     Patterns are visited in rank order; a still-deficient pattern gets its
-    lowest-rank unselected covers.  Updates ``flags`` in place and returns
-    the number of additions.  Deterministic.
+    lowest-rank unselected covers.  Deterministic.
     """
+    flags = np.zeros(g.n_covers, dtype=bool)
+    flags[picks] = True
     counts = flags[g.cover_ranks].sum(axis=1)
-    added = 0
     for p in np.flatnonzero(counts < lam):
         while counts[p] < lam:
             row = g.cover_ranks[p]
-            fresh = row[~flags[row]]
-            r = int(fresh[0])  # rows are rank-sorted, so this is lowest-rank
+            r = int(row[~flags[row]][0])  # rows are rank-sorted, so this is lowest-rank
             flags[r] = True
-            added += 1
             counts[g.pattern_row(r)] += 1
-    return added
+    return tuple(int(r) for r in np.flatnonzero(flags))
 
 
 def alteration_cover(
@@ -262,27 +257,13 @@ def alteration_cover(
     bound-optimizing size), then covers each still-uncovered pattern with
     its lowest-rank unselected cover, in pattern-rank order.
     """
-    t0 = time.perf_counter()
     y = alteration_default_initial_size(g.n) if initial_size is None else int(initial_size)
     if not 0 <= y <= g.n_covers:
         raise ValueError(f"initial_size must be in 0..{g.n_covers}")
     rng = np.random.default_rng(seed)
-    flags = np.zeros(g.n_covers, dtype=bool)
-    if y:
-        flags[rng.choice(g.n_covers, size=y, replace=False, shuffle=False)] = True
-    _patch_uncovered(g, flags, 1)
-    cert = CoverCertificate(
-        n=g.n,
-        lam=1,
-        method="alteration",
-        status="feasible",
-        selected=tuple(int(r) for r in np.flatnonzero(flags)),
-        lower_bound=pigeonhole_lower_bound(g.n, 1),
-        seed=seed,
-        wall_time_ms=(time.perf_counter() - t0) * 1000.0,
-        initial_size=y,
-    )
-    return cert
+    picks = rng.choice(g.n_covers, size=y, replace=False, shuffle=False)
+    selected = _patch_uncovered(g, picks, 1)
+    return CoverCertificate(g.n, 1, "alteration", selected, seed, initial_size=y)
 
 
 def lambda_cover(
@@ -300,26 +281,12 @@ def lambda_cover(
     _check_lam(g, lam)
     if g.n < 3:
         raise ValueError("lambda_cover requires n >= 3 (log log n must be positive)")
-    t0 = time.perf_counter()
     y = multicover_default_draws(g.n, lam) if draws is None else int(draws)
     if y < 0:
         raise ValueError("draws must be >= 0")
-    rng = np.random.default_rng(seed)
-    flags = np.zeros(g.n_covers, dtype=bool)
-    if y:
-        flags[rng.integers(0, g.n_covers, size=y)] = True
-    _patch_uncovered(g, flags, lam)
-    return CoverCertificate(
-        n=g.n,
-        lam=lam,
-        method="lambda",
-        status="feasible",
-        selected=tuple(int(r) for r in np.flatnonzero(flags)),
-        lower_bound=pigeonhole_lower_bound(g.n, lam),
-        seed=seed,
-        wall_time_ms=(time.perf_counter() - t0) * 1000.0,
-        initial_size=y,
-    )
+    picks = np.random.default_rng(seed).integers(0, g.n_covers, size=y)
+    selected = _patch_uncovered(g, picks, lam)
+    return CoverCertificate(g.n, lam, "lambda", selected, seed, initial_size=y)
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +312,9 @@ def exact_min_cover(
     if time_budget <= 0:
         raise ValueError("time_budget must be positive")
     _check_lam(g, lam)
-    t0 = time.perf_counter()
-    deadline = t0 + time_budget
+    deadline = time.perf_counter() + time_budget
 
-    seed_cert = greedy_cover(g, lam)
-    best = list(seed_cert.selected)
+    best = list(greedy_cover(g, lam).selected)
     best_size = len(best)
     floor = pigeonhole_lower_bound(g.n, lam)
 
@@ -408,16 +373,7 @@ def exact_min_cover(
 
     dfs(g.n_patterns * lam)
 
-    optimal = not timed_out
-    return CoverCertificate(
-        n=g.n,
-        lam=lam,
-        method="exact",
-        status="optimal" if optimal else "feasible",
-        selected=tuple(best),
-        lower_bound=best_size if optimal else floor,
-        wall_time_ms=(time.perf_counter() - t0) * 1000.0,
-    )
+    return CoverCertificate(g.n, lam, "exact", tuple(best), optimal=not timed_out)
 
 
 def exhaustive_min_cover_size(g: CoverageGraph, start_k: int | None = None) -> int:

@@ -388,8 +388,8 @@ def threshold_sweep(
     reference when n >= 2.
     """
     grid = [float(p) for p in p_grid]
-    if sorted(grid) != grid:
-        raise ValueError("p_grid must be sorted ascending")
+    if not grid or sorted(grid) != grid:
+        raise ValueError("p_grid must be a non-empty ascending grid")
     rows = []
     for i, p in enumerate(grid):
         est = mc_cover_probability(

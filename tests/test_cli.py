@@ -3,12 +3,18 @@ import threading
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
 import permcover.cache as cache
 from permcover.cli import dispatch
-from permcover.cover import exact_min_cover, greedy_cover
+from permcover.cover import (
+    alteration_cover,
+    alteration_default_initial_size,
+    exact_min_cover,
+    greedy_cover,
+)
 from permcover.graph import build_graph
 
 
@@ -32,6 +38,7 @@ class TestDispatch:
         schema("certificate.schema.json").validate(doc["payload"])
         assert doc["payload"]["size"] == 2
         assert doc["payload"]["status"] == "optimal"
+        assert doc["execution"]["numpy"] == np.__version__
         assert "size=2" in capsys.readouterr().out
 
     def test_solve_cache_round_trip(self, tmp_path, capsys):
@@ -123,6 +130,16 @@ class TestDispatch:
         assert len(body) == 4
         assert any("p_zero" in c for c in comments)
         assert any("p_one" in c for c in comments)
+
+    def test_threshold_empty_grid_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = run(
+            tmp_path, "threshold", "--n", "3", "--pmin", "0.1", "--pmax", "0.5",
+            "--steps", "0", "--trials", "10", "--seed", "0", "--out", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
+        assert "non-empty" in capsys.readouterr().err
 
     @pytest.mark.parametrize("quiet", [(), ("--quiet",)])
     def test_threshold_n1_has_no_boundaries(self, tmp_path, capsys, quiet):
@@ -306,3 +323,102 @@ class TestCache:
         assert cache.best_known_size(tmp_path, 3, 1) == (3, "feasible")
         cache.store_certificate(tmp_path, exact_min_cover(g, 1, 30))
         assert cache.best_known_size(tmp_path, 3, 1) == (2, "optimal")
+
+
+def solve_payload(tmp_path, name, *argv):
+    """Run solve with --out and return (exit code, envelope)."""
+    out = tmp_path / f"{name}.json"
+    code = run(tmp_path, "--quiet", "solve", *argv, "--out", str(out))
+    return code, json.loads(out.read_text())
+
+
+def entry(tmp_path, key):
+    return cache.certificate_path(tmp_path / "cache", key)
+
+
+class TestSolveCache:
+    @pytest.mark.parametrize("argv", [
+        ("--n", "5", "--method", "greedy"),
+        ("--n", "6", "--method", "alteration", "--seed", "1"),
+        ("--n", "4", "--lambda", "2", "--method", "lambda", "--seed", "3"),
+        ("--n", "3", "--method", "exact"),
+    ], ids=["greedy", "alteration", "lambda2", "exact"])
+    def test_hit_payload_equals_miss(self, tmp_path, argv):
+        # the hit, the miss that stored it and an uncached run report the
+        # same bytes: nothing run-dependent is left in a payload
+        docs = [solve_payload(tmp_path, name, *argv, *extra)
+                for name, extra in [("miss", ()), ("hit", ()), ("fresh", ("--no-cache",))]]
+        assert [code for code, _ in docs] == [0, 0, 0]
+        miss, hit, fresh = (json.dumps(doc["payload"], sort_keys=True) for _, doc in docs)
+        assert hit == miss == fresh
+        assert not docs[0][1]["warnings"] and not docs[1][1]["warnings"]
+
+    def test_initial_size_bypasses_the_cache(self, tmp_path):
+        argv = ("--n", "6", "--method", "alteration", "--seed", "1")
+        _, default = solve_payload(tmp_path, "default", *argv)
+        stored = entry(tmp_path, "6-1-alteration-1").read_bytes()
+        code, doc = solve_payload(tmp_path, "y300", *argv, "--initial-size", "300")
+        assert code == 0
+        assert doc["config"]["initial_size"] == doc["payload"]["initial_size"] == 300
+        assert doc["payload"]["selected"] != default["payload"]["selected"]
+        assert entry(tmp_path, "6-1-alteration-1").read_bytes() == stored
+
+    def test_timed_out_exact_is_not_stored(self, tmp_path):
+        code, doc = solve_payload(tmp_path, "exact5", "--n", "5", "--method", "exact",
+                                  "--budget", "0.05")
+        assert code == 0
+        assert doc["payload"]["status"] == "feasible"
+        assert doc["payload"]["lower_bound"] == 20  # pigeonhole
+        assert not entry(tmp_path, "5-1-exact-none").exists()
+
+    def test_edited_claims_are_not_served(self, tmp_path):
+        # only `selected` is read: a greedy entry that claims an optimal
+        # exact result is served as what its key says it is
+        assert run(tmp_path, "--quiet", "solve", "--n", "3", "--method", "greedy") == 0
+        path = entry(tmp_path, "3-1-greedy-none")
+        doc = json.loads(path.read_text())
+        doc.update(method="exact", status="optimal", lower_bound=3)
+        path.write_text(json.dumps(doc))
+        code, env = solve_payload(tmp_path, "hit", "--n", "3", "--method", "greedy")
+        assert code == 0 and path.exists() and not env["warnings"]
+        pay = env["payload"]
+        assert (pay["method"], pay["status"], pay["size"], pay["lower_bound"]) == (
+            "greedy", "feasible", 3, 2)
+
+    def test_unknown_status_is_verified_and_recomputed(self, tmp_path):
+        assert run(tmp_path, "--quiet", "solve", "--n", "3", "--method", "greedy") == 0
+        path = entry(tmp_path, "3-1-greedy-none")
+        doc = json.loads(path.read_text())
+        doc.update(status="infeasible-budget", selected=doc["selected"][:1])
+        path.write_text(json.dumps(doc))
+        code, env = solve_payload(tmp_path, "again", "--n", "3", "--method", "greedy")
+        assert code == 0
+        assert env["payload"]["size"] == 3 and env["payload"]["verified"] is True
+        assert any("failed validation" in w for w in env["warnings"])
+        assert path.with_suffix(".json.quarantined").exists()
+
+    def test_exact_entry_not_marked_optimal_is_quarantined(self, tmp_path, graph):
+        # an older version stored timed-out exact results as "feasible";
+        # such an entry must not be promoted to optimal by its key
+        doc = greedy_cover(graph(3)).to_json_dict()
+        doc.update(method="exact", status="feasible")
+        path = entry(tmp_path, "3-1-exact-none")
+        path.parent.mkdir()
+        path.write_text(json.dumps(doc))
+        code, env = solve_payload(tmp_path, "exact3", "--n", "3", "--method", "exact")
+        assert code == 0
+        pay = env["payload"]
+        assert (pay["status"], pay["size"], pay["lower_bound"]) == ("optimal", 2, 2)
+        assert any("not 'optimal'" in w for w in env["warnings"])
+        assert path.with_suffix(".json.quarantined").exists()
+
+    def test_entry_with_another_initial_size_is_quarantined(self, tmp_path, graph):
+        # keyed without its initial size by an older version, so it cannot
+        # answer a default request
+        cert = alteration_cover(graph(4), seed=2, initial_size=0)
+        cache.store_certificate(tmp_path / "cache", cert)
+        code, env = solve_payload(tmp_path, "alt4", "--n", "4", "--method", "alteration",
+                                  "--seed", "2")
+        assert code == 0
+        assert env["payload"]["initial_size"] == alteration_default_initial_size(4)
+        assert any("initial_size 0 is not the default" in w for w in env["warnings"])

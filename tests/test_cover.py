@@ -16,6 +16,7 @@ from permcover.cover import (
     greedy_cover,
     lambda_cover,
     multicover_upper_bound,
+    parse_selected,
     pigeonhole_lower_bound,
     verify_cover,
 )
@@ -289,12 +290,27 @@ class TestExactMinCover:
 
 class TestCertificateSerialization:
     def test_round_trip(self, graph):
+        # a certificate is its request plus its selected covers; the
+        # serialized status, size and bound are derived from those alone
         cert = exact_min_cover(graph(3), 1, time_budget=30)
         doc = cert.to_json_dict()
-        back = CoverCertificate.from_json_dict(doc)
-        assert back.selected == cert.selected
-        assert back.n == cert.n and back.lam == cert.lam
-        assert back.status == cert.status and back.lower_bound == cert.lower_bound
+        back = CoverCertificate(3, 1, "exact", parse_selected(3, doc["selected"]),
+                                optimal=True)
+        assert back == cert
+        assert back.to_json_dict() == doc
+        assert (doc["status"], doc["size"], doc["lower_bound"]) == ("optimal", 2, 2)
+        assert "wall_time_ms" not in doc
+
+    def test_feasible_carries_the_pigeonhole_bound(self, graph):
+        for cert in (greedy_cover(graph(4), 2), alteration_cover(graph(4), seed=1)):
+            assert not cert.optimal and cert.status == "feasible"
+            assert cert.lower_bound == pigeonhole_lower_bound(4, cert.lam) < cert.size
+
+    def test_parse_selected_is_sorted_and_checked(self):
+        assert parse_selected(3, ["2413", "1234"]) == (0, rank(Permutation.parse("2413")))
+        for bad in (["1234", "1234"], ["123"], ["1134"]):
+            with pytest.raises(ValueError):
+                parse_selected(3, bad)
 
     def test_selected_serialized_as_strings(self, graph):
         cert = greedy_cover(graph(3))

@@ -287,6 +287,26 @@ class TestAudit:
         assert position_keys.tolist() == sorted(positions)
         assert value_keys.tolist() == sorted(values)
 
+    @pytest.mark.parametrize("n, missed", [(3, 2), (4, 9), (5, 40), (6, 210)])
+    def test_value_swaps_do_not_close_the_gap(self, n, missed, graph):
+        # adjacent-value swaps (exchange the values v and v+1, the inverse
+        # images of position swaps) all share exactly 4 covers, yet with
+        # the position swaps they still miss some four-cover pairs; both
+        # swap sets come from itertools alone, ranked lexicographically
+        perms = list(itertools.permutations(range(1, n + 1)))
+        index = {p: i for i, p in enumerate(perms)}
+        positions, values = set(), set()
+        for a, p in enumerate(perms):
+            for i in range(n - 1):
+                b = index[p[:i] + (p[i + 1], p[i]) + p[i + 2:]]
+                positions.add((min(a, b), max(a, b)))
+                v = {i + 1: i + 2, i + 2: i + 1}  # the values i+1 and i+2 trade places
+                b = index[tuple(v.get(x, x) for x in p)]
+                values.add((min(a, b), max(a, b)))
+        four = set(map(tuple, graph(n).joint_count_matrix().four_cover_pairs.tolist()))
+        assert values <= four and positions <= four
+        assert len(four - positions - values) == missed
+
     def test_position_swap_without_four_covers_is_reported(self):
         # this violation never occurs on a correct graph, so feed the audit
         # pair statistics with one position swap (123, 132) dropped
