@@ -127,28 +127,37 @@ def joint_pair_counts(cover_ranks: np.ndarray, indptr: np.ndarray, data: np.ndar
 # the cover helping the most still-deficient patterns, lowest rank on ties,
 # until every pattern is covered at least `lam` times.  Returns the picked
 # ranks in selection order plus the unmet deficiency (0 on success).
+#
+# The gains are state, kept incrementally (Minoux 1978): gains[r] is the
+# number of still-deficient patterns in cover r's CSR row, initially the
+# row length.  A pattern leaves the deficient set once, when a pick brings
+# its multiplicity to `lam`; then each of its covers (its cover_ranks row)
+# loses one.  The patterns finishing in one pick share covers, so the
+# decrement is one bincount rather than a fancy-index `-=`, which would
+# drop repeats.  A picked cover's gain is set to -(n! + 1); gains only
+# fall, and an unpicked one never below 0, so it never again wins
+# np.argmax, which breaks ties to the lowest rank.
 
 
-def greedy_select(indptr, data, n_patterns, lam):
+def greedy_select(indptr, data, cover_ranks, lam):
     n_covers = indptr.shape[0] - 1
+    n_patterns = cover_ranks.shape[0]
     counts = np.zeros(n_patterns, dtype=np.int64)
-    available = np.ones(n_covers, dtype=bool)
-    deficient = np.ones(n_patterns, dtype=bool)
+    gains = np.diff(indptr)
     remaining = n_patterns * lam
     picks = []
-    starts = indptr[:-1]
     while remaining > 0:
-        gains = np.add.reduceat(deficient[data].astype(np.int32), starts)
-        gains[~available] = -1
         best = int(np.argmax(gains))
         if gains[best] <= 0:
             break
         picks.append(best)
-        available[best] = False
         row = data[indptr[best] : indptr[best + 1]]
-        remaining -= int(np.count_nonzero(deficient[row]))
-        counts[row] += 1
-        deficient[row] = counts[row] < lam
+        reached = counts[row] + 1
+        counts[row] = reached
+        remaining -= int(np.count_nonzero(reached <= lam))
+        done = row[reached == lam]
+        gains -= np.bincount(cover_ranks[done].ravel(), minlength=n_covers)
+        gains[best] = -n_patterns - 1
     return np.array(picks, dtype=np.int64), int(remaining)
 
 

@@ -94,10 +94,7 @@ def _write_envelope(args, out_path, subcommand: str, config: dict, payload: dict
         "warnings": warnings_list,
         "payload": payload,
     }
-    text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        Path(out_path).write_text(text)
-        _say(args, f"wrote {out_path}")
+    _write_out(args, out_path, json.dumps(envelope, indent=2, sort_keys=True) + "\n")
     return envelope
 
 
@@ -108,10 +105,20 @@ def _write_csv(args, out_path, header: tuple[str, ...], rows: list[dict],
     for row in rows:
         lines.append(",".join(_csv_cell(row[col]) for col in header))
     text = "\n".join(lines) + "\n"
-    if out_path:
-        Path(out_path).write_text(text)
-        _say(args, f"wrote {out_path}")
+    _write_out(args, out_path, text)
     return text
+
+
+def _write_out(args, out_path, text: str):
+    """Write ``text`` to --out when given.  A path that cannot be written
+    is a usage error (exit 2), reported on one line."""
+    if not out_path:
+        return
+    try:
+        Path(out_path).write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {out_path}: {exc.strerror or exc}") from exc
+    _say(args, f"wrote {out_path}")
 
 
 def _csv_cell(value) -> str:
@@ -135,6 +142,9 @@ def _cmd_solve(args) -> int:
     if method in ("alteration", "lambda") and args.seed is None:
         print(f"--method {method} requires --seed", file=sys.stderr)
         return 2
+    if method in ("exact", "greedy") and args.initial_size is not None:
+        print(f"--method {method} takes no --initial-size", file=sys.stderr)
+        return 2
     seed = args.seed if method in ("alteration", "lambda") else None
 
     t0 = time.perf_counter()
@@ -146,6 +156,7 @@ def _cmd_solve(args) -> int:
     # cache: the key names only the method's default.
     use_cache = not args.no_cache and args.initial_size is None
     cert = None
+    deficient = 0  # load_certificate serves only covers it has just verified against g
     if use_cache:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -170,8 +181,8 @@ def _cmd_solve(args) -> int:
         # the budget, so only a completed one is kept.
         if use_cache and (method != "exact" or cert.optimal):
             store_certificate(cache_dir, cert)
-
-    result = verify_cover(g, cert.selected, lam)
+        deficient = len(verify_cover(g, cert.selected, lam).deficiencies)
+    verified = deficient == 0
     wall_ms = (time.perf_counter() - t0) * 1000.0
 
     config = {
@@ -184,19 +195,16 @@ def _cmd_solve(args) -> int:
         "initial_size": args.initial_size,
     }
     payload = cert.to_json_dict()
-    payload["verified"] = result.ok
+    payload["verified"] = verified
     _write_envelope(args, args.out, "solve", config, payload, notes, wall_ms,
                     _resolve_workers(args))
     _say(
         args,
         f"solve n={cert.n} lambda={cert.lam} method={cert.method}: size={cert.size} "
-        f"status={cert.status} lower_bound={cert.lower_bound} verified={result.ok}",
+        f"status={cert.status} lower_bound={cert.lower_bound} verified={verified}",
     )
-    if not result.ok:
-        print(
-            f"verification FAILED: {len(result.deficiencies)} deficient patterns",
-            file=sys.stderr,
-        )
+    if not verified:
+        print(f"verification FAILED: {deficient} deficient patterns", file=sys.stderr)
         return 1
     return 0
 

@@ -213,7 +213,7 @@ def greedy_cover(g: CoverageGraph, lam: int = 1) -> CoverCertificate:
     """Deterministic max-residual-coverage greedy (ties to lowest rank)."""
     _check_lam(g, lam)
     picks, remaining = _kernels.greedy_select(
-        g.pattern_indptr, g.pattern_data, g.n_patterns, lam
+        g.pattern_indptr, g.pattern_data, g.cover_ranks, lam
     )
     if remaining:
         raise RuntimeError("greedy could not complete the cover")  # unreachable for valid lam
@@ -301,8 +301,11 @@ def exact_min_cover(
     Branches on the most-deficient lowest-rank pattern, trying each of its
     unselected covers in rank order; prunes with
     size + ceil(total deficiency / best residual gain) against the
-    incumbent (initially greedy).  Single-threaded and deterministic: the
-    proved optimal size never depends on timing, and the witness is the
+    incumbent (initially greedy).  The residual gains are kept
+    incrementally: choosing a cover subtracts one from every cover of each
+    pattern it brings to multiplicity lam, and backtracking adds it back,
+    so no node recounts the incidence.  Single-threaded and deterministic:
+    the proved optimal size never depends on timing, and the witness is the
     deterministic first optimum found under this branching order.
 
     Exhausting the search proves optimality (status "optimal", and
@@ -318,20 +321,17 @@ def exact_min_cover(
     best_size = len(best)
     floor = pigeonhole_lower_bound(g.n, lam)
 
-    indptr, data = g.pattern_indptr, g.pattern_data
     cover_rows = g.cover_ranks
     n_covers = g.n_covers
     counts = np.zeros(g.n_patterns, dtype=np.int64)
-    selected_flags = np.zeros(n_covers, dtype=bool)
+    # gains[r]: still-deficient patterns of cover r, minus `chosen_offset`
+    # while r is chosen.  A gain is at most n+1, so a chosen cover's is
+    # negative and never the maximum.
+    gains = np.diff(g.pattern_indptr)
+    chosen_offset = g.n + 2
     chosen: list[int] = []
     timed_out = False
     nodes = 0
-
-    def residual_gains():
-        deficient = counts < lam
-        gains = np.add.reduceat(deficient[data].astype(np.int32), indptr[:-1])
-        gains[selected_flags] = 0
-        return gains
 
     def dfs(deficiency: int):
         nonlocal best, best_size, timed_out, nodes
@@ -346,28 +346,30 @@ def exact_min_cover(
                 best = sorted(chosen)
                 best_size = len(best)
             return
-        gains = residual_gains()
         max_gain = int(gains.max())
-        if max_gain == 0:
+        if max_gain <= 0:
             return
         bound = len(chosen) + ceil(deficiency / max_gain)
         if bound >= best_size:
             return
-        shortfall = lam - counts
-        worst = int(np.flatnonzero(shortfall == shortfall.max())[0])
+        worst = int(np.argmin(counts))  # lowest rank among the largest shortfalls
         for r in cover_rows[worst]:
             r = int(r)
-            if selected_flags[r]:
+            if gains[r] < 0:  # already chosen
                 continue
             row = g.pattern_row(r)
-            helped = row[counts[row] < lam]
-            selected_flags[r] = True
-            counts[row] += 1
+            reached = counts[row] + 1
+            counts[row] = reached
+            helped = int(np.count_nonzero(reached <= lam))
+            # patterns of one cover share covers: bincount keeps the repeats
+            delta = np.bincount(cover_rows[row[reached == lam]].ravel(), minlength=n_covers)
+            delta[r] += chosen_offset
+            np.subtract(gains, delta, out=gains)
             chosen.append(r)
-            dfs(deficiency - helped.size)
+            dfs(deficiency - helped)
             chosen.pop()
-            counts[row] -= 1
-            selected_flags[r] = False
+            np.add(gains, delta, out=gains)
+            counts[row] = reached - 1
             if timed_out:
                 return
 

@@ -8,6 +8,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import permcover.cache as cache
+import permcover.cli as cli
 from permcover.cli import dispatch
 from permcover.cover import (
     alteration_cover,
@@ -225,6 +226,25 @@ class TestDispatch:
     def test_resource_limit_exit(self, tmp_path):
         assert run(tmp_path, "graph", "--n", "9") == 3
 
+    @pytest.mark.parametrize("argv", [
+        ("graph", "--n", "2"),
+        ("threshold", "--n", "2", "--pmin", "0.1", "--pmax", "0.5", "--steps", "2",
+         "--trials", "8", "--seed", "1"),
+    ], ids=["envelope", "csv"])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "nodir" / "x.out"
+        assert run(tmp_path, "--quiet", *argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cannot write --out" in err
+        assert not out.exists()
+
+    def test_initial_size_needs_a_randomized_method(self, tmp_path, capsys):
+        for method in ("exact", "greedy"):
+            argv = ("solve", "--n", "3", "--method", method, "--initial-size", "5")
+            assert run(tmp_path, *argv) == 2
+            assert "takes no --initial-size" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
+
     def test_lambda_verb(self, tmp_path, capsys):
         assert run(tmp_path, "lambda", "--n", "3", "--lambda", "2", "--seed", "7") == 0
         assert "method=lambda" in capsys.readouterr().out
@@ -352,6 +372,20 @@ class TestSolveCache:
         miss, hit, fresh = (json.dumps(doc["payload"], sort_keys=True) for _, doc in docs)
         assert hit == miss == fresh
         assert not docs[0][1]["warnings"] and not docs[1][1]["warnings"]
+
+    def test_hit_verifies_once(self, tmp_path, monkeypatch):
+        # the cache verifies what it serves; the CLI verifies only what it
+        # has just computed
+        argv = ("--n", "7", "--method", "alteration", "--seed", "1")
+        assert solve_payload(tmp_path, "miss", *argv)[0] == 0
+        calls = []
+        for module in (cli, cache):
+            verify = module.verify_cover
+            monkeypatch.setattr(module, "verify_cover",
+                                lambda *a, verify=verify: calls.append(a) or verify(*a))
+        code, doc = solve_payload(tmp_path, "hit", *argv)
+        assert code == 0 and doc["payload"]["verified"] is True
+        assert len(calls) == 1
 
     def test_initial_size_bypasses_the_cache(self, tmp_path):
         argv = ("--n", "6", "--method", "alteration", "--seed", "1")

@@ -1,8 +1,11 @@
+import hashlib
 from fractions import Fraction
 from math import comb, factorial, log
 
+import numpy as np
 import pytest
 
+from permcover import _kernels
 from permcover.cover import (
     BoundTable,
     CoverCertificate,
@@ -20,6 +23,7 @@ from permcover.cover import (
     pigeonhole_lower_bound,
     verify_cover,
 )
+from permcover.graph import CoverageGraph
 from permcover.perms import Permutation, rank, reverse, unrank
 
 
@@ -171,6 +175,53 @@ class TestGreedy:
         with pytest.raises(ValueError):
             greedy_cover(graph(3), lam=11)  # each pattern has only 10 covers
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("lam", [1, 2, 3])
+    def test_incremental_gains_match_recompute(self, graph, n, lam):
+        # the kernel keeps gains as state; the reference recounts every
+        # cover's deficient patterns at every pick.  At n=1, lam=3 both
+        # run out of covers and report the same unmet deficiency.
+        g = graph(n)
+        picks, remaining = _kernels.greedy_select(
+            g.pattern_indptr, g.pattern_data, g.cover_ranks, lam)
+        ref_picks, ref_remaining = recompute_greedy(g, lam)
+        assert picks.tolist() == ref_picks
+        assert remaining == ref_remaining == (1 if lam > n * n + 1 else 0)
+
+    @pytest.mark.parametrize("lam, size, digest", [
+        (1, 934, "a48439e160f9055018917bef3a9c4fba73247627764cc7beeb1a28839ad51711"),
+        (2, 1782, "666d9e84b36cae1ca40eb56bd24943ca17146083dfbe946d5d925702d65a6e63"),
+    ])
+    def test_n7_picks_golden(self, graph, lam, size, digest):
+        # picks in selection order, as little-endian int64
+        g = graph(7)
+        picks, remaining = _kernels.greedy_select(
+            g.pattern_indptr, g.pattern_data, g.cover_ranks, lam)
+        assert remaining == 0 and picks.size == size
+        assert hashlib.sha256(picks.astype("<i8").tobytes()).hexdigest() == digest
+
+
+def recompute_greedy(g, lam):
+    """Greedy multicover recounting every gain at each pick (reference)."""
+    counts = np.zeros(g.n_patterns, dtype=np.int64)
+    picked = np.zeros(g.n_covers, dtype=bool)
+    remaining = g.n_patterns * lam
+    picks = []
+    while remaining > 0:
+        deficient = counts < lam
+        gains = np.add.reduceat(deficient[g.pattern_data].astype(np.int64),
+                                g.pattern_indptr[:-1])
+        gains[picked] = -1
+        best = int(np.argmax(gains))
+        if gains[best] <= 0:
+            break
+        picks.append(best)
+        picked[best] = True
+        row = g.pattern_row(best)
+        remaining -= int(np.count_nonzero(deficient[row]))
+        counts[row] += 1
+    return picks, remaining
+
 
 class TestAlteration:
     def test_zero_initial_is_pure_patching(self, graph):
@@ -286,6 +337,25 @@ class TestExactMinCover:
             cert = greedy_cover(g)
             reversed_sel = [rank(reverse(unrank(n + 1, r))) for r in cert.selected]
             assert verify_cover(g, reversed_sel, 1).ok
+
+    @pytest.mark.parametrize("n, lam, branches, witness", [
+        (3, 1, 20, (2, 21)),
+        (3, 2, 258, (2, 3, 20, 21)),
+        (3, 3, 8292, (2, 3, 4, 15, 20, 21)),
+        (4, 1, 47600, (10, 32, 43, 66, 78, 83, 115)),
+    ])
+    def test_branch_counts_and_witness_pinned(self, graph, monkeypatch, n, lam,
+                                              branches, witness):
+        # every branch reads its cover's row through pattern_row exactly
+        # once, which is how the benchmark's tracer counts branches
+        calls = []
+        row = CoverageGraph.pattern_row
+        monkeypatch.setattr(CoverageGraph, "pattern_row",
+                            lambda self, r: calls.append(r) or row(self, r))
+        cert = exact_min_cover(graph(n), lam, time_budget=60)
+        assert cert.status == "optimal"
+        assert len(calls) == branches
+        assert cert.selected == witness
 
 
 class TestCertificateSerialization:

@@ -21,3 +21,25 @@ def test_tracer_installs_against_src():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tracer_counts_exact_branches():
+    # The benchmark's `cover.exact_branches` counts pattern_row calls made
+    # directly by exact_min_cover, one per branch; a solver that stops
+    # reading rows that way would zero the metric without failing a run.
+    script = (
+        "import sys; sys.path[:0] = sys.argv[1:3]; "
+        "import tracing; tracer = tracing.install(); "
+        "from permcover.cli import dispatch\n"
+        "with tracer.job(0):\n"
+        "    code = dispatch(['--quiet', 'solve', '--n', '4', '--method', 'exact', "
+        "'--no-cache'])\n"
+        "assert code == 0, code\n"
+        "assert tracer.counts['cover.exact_branches'] == 47600, tracer.counts\n"
+        "assert any(s.name == '_kernels.greedy_select' for s in tracer.spans)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(ROOT / "src"), str(ROOT / "perfbench")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
