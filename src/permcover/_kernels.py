@@ -8,7 +8,6 @@ per-layer tracer in ``perfbench/tracing.py`` does this) sees every call.
 """
 from __future__ import annotations
 
-import itertools
 from math import factorial
 
 import numpy as np
@@ -16,11 +15,36 @@ import numpy as np
 BACKEND = "numpy"  # the one kernel implementation; reported in run facts
 
 
-def all_perms(length: int) -> np.ndarray:
-    """All permutations of 1..length in lexicographic order, one per row."""
-    return np.array(
-        list(itertools.permutations(range(1, length + 1))), dtype=np.uint8
-    )
+# ---------------------------------------------------------------------------
+# perms_and_deletions: every permutation of 1..length in lexicographic order,
+# one per row of `perms` (uint8), and in `dels` (int64) the lexicographic
+# rank in S_{length-1} of each one-letter deletion: dels[r, i] ranks
+# perms[r] with position i removed and the rest standardized.
+#
+# Built for k = 1..length from the arrays (P, D) of length k-1.  Block
+# v = 1..k of S_k holds the rows [v, s + (s >= v)] for s in S_{k-1}, in
+# s's order.  Deleting position 0 leaves s, whose rank is the row's offset
+# in its block.  Deleting position i >= 1 leaves the first letter
+# v - [s_{i-1} < v] followed by std(s without position i-1), so its rank is
+#     (v - 1 - [s_{i-1} < v]) * (k-2)! + D[s, i-1].
+# Each level is whole-block array arithmetic, O(k! * k) in all.
+
+
+def perms_and_deletions(length: int):
+    perms = np.zeros((1, 0), dtype=np.uint8)
+    dels = np.zeros((1, 0), dtype=np.int64)
+    for k in range(1, length + 1):
+        v = np.arange(1, k + 1, dtype=np.uint8)[:, None, None]
+        below = perms < v
+        nxt = np.empty((k, perms.shape[0], k), dtype=np.uint8)
+        nxt[:, :, 0] = v[:, :, 0]
+        np.add(perms, ~below, out=nxt[:, :, 1:])
+        ranks = np.empty(nxt.shape, dtype=np.int64)
+        ranks[:, :, 0] = np.arange(perms.shape[0])
+        np.multiply(v - 1 - below, np.int64(factorial(max(k - 2, 0))), out=ranks[:, :, 1:])
+        ranks[:, :, 1:] += dels
+        perms, dels = nxt.reshape(-1, k), ranks.reshape(-1, k)
+    return perms, dels
 
 
 def lehmer_weights(length: int) -> np.ndarray:
@@ -81,8 +105,8 @@ def count_uncovered_chunk(cover_ranks: np.ndarray, packed: np.ndarray,
 # into one row and sorted; a run of value v != p of length c then says that
 # v shares exactly c covers with p, because a cover lists each pattern once.
 # Patterns are processed in blocks of _PAIR_BLOCK rows, which bounds the
-# transient: at n=8 the kernel then peaks below the graph build (~205 MB),
-# where one unblocked pass peaks at ~790 MB.
+# transient: at n=8 the process then peaks at ~141 MB, against ~130 MB for
+# the graph build alone and ~790 MB for one unblocked pass.
 # Returns (n_pairs, partners, four_pairs): n_pairs[c] is the number of
 # ordered pairs sharing exactly c >= 1 covers (n_pairs[0] = 0), partners[p]
 # the number of patterns sharing at least one cover with p, and four_pairs

@@ -335,6 +335,8 @@ def _cmd_gap(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.n_max < args.n_min:
+        raise ValueError("--n-min..--n-max must be a non-empty range")
     t0 = time.perf_counter()
     cache_dir = _resolve_cache_dir(args)
     rows = []

@@ -301,6 +301,8 @@ def run_uncovered_counts(
         raise ValueError("trials must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
+    if not 0 <= master_seed < 2**64:
+        raise ValueError("seed must be in [0, 2**64)")
     spans = [
         (s, min(s + _CHUNK_TRIALS, trials)) for s in range(0, trials, _CHUNK_TRIALS)
     ]

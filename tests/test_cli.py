@@ -142,6 +142,19 @@ class TestDispatch:
         assert not out.exists()
         assert "non-empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("verb", ["threshold", "gap"])
+    def test_out_of_range_seed_is_a_usage_error(self, tmp_path, capsys, verb, seed):
+        pick = {"threshold": ("--pmin", "0.1", "--pmax", "0.3", "--steps", "2"),
+                "gap": ("--p", "0.2")}[verb]
+        out = tmp_path / "x.out"
+        code = run(tmp_path, verb, "--n", "3", *pick, "--trials", "10",
+                   "--seed", seed, "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "seed must be in" in err
+
     @pytest.mark.parametrize("quiet", [(), ("--quiet",)])
     def test_threshold_n1_has_no_boundaries(self, tmp_path, capsys, quiet):
         # the analytic boundaries need n >= 2; n = 1 leaves them blank
@@ -216,6 +229,12 @@ class TestDispatch:
         lower = body[0].split(",").index("pigeonhole_lower")
         values = [int(line.split(",")[lower]) for line in body[1:]]
         assert values == sorted(values)
+
+    def test_bounds_empty_range_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "bounds.csv"
+        assert run(tmp_path, "bounds", "--n-min", "3", "--n-max", "1", "--out", str(out)) == 2
+        assert not out.exists()
+        assert "non-empty range" in capsys.readouterr().err
 
     def test_usage_errors(self, tmp_path):
         assert run(tmp_path, "solve", "--n", "3") == 2  # missing --method

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from math import factorial
 
@@ -106,6 +107,70 @@ class TestBuild:
             build_graph(9)
         with pytest.raises(ResourceLimitError, match="limit 3"):
             build_graph(4, max_n=3)
+
+    @pytest.mark.parametrize("length", range(1, 8))
+    def test_perms_and_deletions_match_itertools(self, length):
+        smaller = {p: i for i, p in enumerate(itertools.permutations(range(1, length)))}
+        expected_perms = list(itertools.permutations(range(1, length + 1)))
+        expected_dels = []
+        for p in expected_perms:
+            row = []
+            for i in range(length):
+                rest = p[:i] + p[i + 1 :]
+                row.append(smaller[tuple(x - (x > p[i]) for x in rest)])
+            expected_dels.append(row)
+        perms, dels = _kernels.perms_and_deletions(length)
+        assert perms.dtype == np.uint8 and dels.dtype == np.int64
+        assert perms.tolist() == [list(p) for p in expected_perms]
+        assert dels.tolist() == expected_dels
+
+    @pytest.mark.parametrize("n, pinned", [
+        (7, {
+            "cover_ranks": ("int32", (5040, 50),
+                            "1d58f540dea94dfd8bebfbd6eeefa495c7a5977cf9194b071525c9fa34de4898"),
+            "pattern_indptr": ("int64", (40321,),
+                               "9cf63fe126a70000db785406d24caec8cb239424107d7b4496dcd9ad44a7d4df"),
+            "pattern_data": ("int32", (252000,),
+                             "861c3de2bc7f1bbfc54d7816f5d5126d9847e288dc5eebd974b17468f95a1494"),
+            "succ_counts": ("uint8", (40320,),
+                            "33a319f7634ced5b57e70a14668a378a6b53529da7dd1842263df40e66beb62f"),
+        }),
+        (8, {
+            "cover_ranks": ("int32", (40320, 65),
+                            "adb35a0215fd962f4906394b4af45e7dd04589aaef417a19096386bd4e70c9e7"),
+            "pattern_indptr": ("int64", (362881,),
+                               "ed1475752167daf0f8c24f1e454b52b7889de8f8dc16a5d3fcd0af518c2b0f8e"),
+            "pattern_data": ("int32", (2620800,),
+                             "cbc42be1e32acd838621bcb0498c2ae25d75619a88d0105719890c85cd68417f"),
+            "succ_counts": ("uint8", (362880,),
+                            "6e4686d810dbe39fc9848a00c2dc0ad9f237ce3de7da655e5fd1ad3dbe20b2ef"),
+        }),
+    ])
+    def test_arrays_pinned(self, n, pinned, graph):
+        g = graph(n)
+        for name, (dtype, shape, digest) in pinned.items():
+            arr = getattr(g, name)
+            assert (arr.dtype, arr.shape) == (np.dtype(dtype), shape), name
+            assert hashlib.sha256(arr.tobytes()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("position, message", [
+        (0, "not uniformly"),  # 2413 -> 2431, which 13524 does not contain
+        (4, "duplicate pattern"),  # 1342 -> 1423, also its deletion at position 1
+    ])
+    def test_build_checks_are_live(self, monkeypatch, position, message):
+        # 13524 has no succession, so all five deletions are kept; one of
+        # their ranks is raised by one
+        row = rank(Permutation.parse("13524"))
+        real = _kernels.perms_and_deletions
+
+        def one_wrong_rank(length):
+            perms, dels = real(length)
+            dels[row, position] += 1
+            return perms, dels
+
+        monkeypatch.setattr(_kernels, "perms_and_deletions", one_wrong_rank)
+        with pytest.raises(RuntimeError, match=message):
+            build_graph(4)
 
     def test_build_deterministic(self, graph):
         g1 = graph(4)

@@ -395,6 +395,13 @@ class TestMonteCarlo:
                 base, run_uncovered_counts(g, 0.12, 700, master_seed=9, workers=workers)
             )
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range(self, graph, seed):
+        with pytest.raises(ValueError, match="seed must be in"):
+            run_uncovered_counts(graph(2), 0.5, 10, master_seed=seed)
+        for edge in (0, 2**64 - 1):
+            assert run_uncovered_counts(graph(2), 0.5, 10, master_seed=edge).sum() == 10
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("p", [0.05, 0.1, 0.2])
     def test_mean_calibration_small(self, n, p, graph):
