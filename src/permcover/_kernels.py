@@ -27,7 +27,10 @@ BACKEND = "numpy"  # the one kernel implementation; reported in run facts
 # in its block.  Deleting position i >= 1 leaves the first letter
 # v - [s_{i-1} < v] followed by std(s without position i-1), so its rank is
 #     (v - 1 - [s_{i-1} < v]) * (k-2)! + D[s, i-1].
-# Each level is whole-block array arithmetic, O(k! * k) in all.
+# Each level is whole-block array arithmetic, O(k! * k) in all.  The rank
+# product is computed in int64 by `dtype=`: its uint8 operand times a small
+# integer would otherwise stay uint8 under numpy 1.x value-based casting and
+# wrap from k = 7 on, before `out=` ever sees it.
 
 
 def perms_and_deletions(length: int):
@@ -41,7 +44,7 @@ def perms_and_deletions(length: int):
         np.add(perms, ~below, out=nxt[:, :, 1:])
         ranks = np.empty(nxt.shape, dtype=np.int64)
         ranks[:, :, 0] = np.arange(perms.shape[0])
-        np.multiply(v - 1 - below, np.int64(factorial(max(k - 2, 0))), out=ranks[:, :, 1:])
+        np.multiply(v - 1 - below, factorial(max(k - 2, 0)), out=ranks[:, :, 1:], dtype=np.int64)
         ranks[:, :, 1:] += dels
         perms, dels = nxt.reshape(-1, k), ranks.reshape(-1, k)
     return perms, dels
