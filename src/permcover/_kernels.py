@@ -103,13 +103,16 @@ def count_uncovered_chunk(cover_ranks: np.ndarray, packed: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # joint_pair_counts: how many covers each ordered pair of distinct patterns
-# shares, summarised without a dense (n!)^2 matrix.  For each pattern p the
-# pattern lists of its n^2+1 covers (padded to a common width) are gathered
-# into one row and sorted; a run of value v != p of length c then says that
-# v shares exactly c covers with p, because a cover lists each pattern once.
+# shares, summarised without a dense (n!)^2 matrix.  pattern_rows is the
+# graph's padded ((n+1)!, n+1) table: each cover's distinct patterns in
+# ascending order, then the sentinel n!.  For each pattern p the rows of its
+# n^2+1 covers are gathered into one row and sorted; a run of value v != p
+# of length c then says that v shares exactly c covers with p, because a
+# cover lists each pattern once, and the sentinel's run is dropped.
 # Patterns are processed in blocks of _PAIR_BLOCK rows, which bounds the
-# transient: at n=8 the process then peaks at ~141 MB, against ~130 MB for
-# the graph build alone and ~790 MB for one unblocked pass.
+# transient below the build's own peak: at n=8 a fresh process peaks at
+# ~112 MB after the build and the same after the pair statistics, against
+# ~790 MB for one unblocked pass.
 # Returns (n_pairs, partners, four_pairs): n_pairs[c] is the number of
 # ordered pairs sharing exactly c >= 1 covers (n_pairs[0] = 0), partners[p]
 # the number of patterns sharing at least one cover with p, and four_pairs
@@ -120,19 +123,14 @@ def count_uncovered_chunk(cover_ranks: np.ndarray, packed: np.ndarray,
 _PAIR_BLOCK = 2048
 
 
-def joint_pair_counts(cover_ranks: np.ndarray, indptr: np.ndarray, data: np.ndarray):
+def joint_pair_counts(cover_ranks: np.ndarray, pattern_rows: np.ndarray):
     n_patterns, per_pattern = cover_ranks.shape
-    n_covers = indptr.shape[0] - 1
-    lengths = np.diff(indptr)
-    padded = np.full((n_covers, int(lengths.max())), n_patterns, dtype=data.dtype)
-    padded[np.repeat(np.arange(n_covers), lengths),
-           np.arange(data.shape[0]) - np.repeat(indptr[:-1], lengths)] = data
     n_pairs = np.zeros(per_pattern + 1, dtype=np.int64)
     partners = np.zeros(n_patterns, dtype=np.int64)
     four_pairs = []
     for lo in range(0, n_patterns, _PAIR_BLOCK):
         hi = min(lo + _PAIR_BLOCK, n_patterns)
-        lists = padded[cover_ranks[lo:hi]].reshape(hi - lo, -1)
+        lists = pattern_rows[cover_ranks[lo:hi]].reshape(hi - lo, -1)
         lists.sort(axis=1)
         starts = np.ones(lists.shape, dtype=bool)
         np.not_equal(lists[:, 1:], lists[:, :-1], out=starts[:, 1:])
@@ -155,10 +153,12 @@ def joint_pair_counts(cover_ranks: np.ndarray, indptr: np.ndarray, data: np.ndar
 # until every pattern is covered at least `lam` times.  Returns the picked
 # ranks in selection order plus the unmet deficiency (0 on success).
 #
+# pattern_rows is the graph's padded table (see joint_pair_counts); a
+# picked row is sliced to its length, its count of non-sentinel entries.
 # The gains are state, kept incrementally (Minoux 1978): gains[r] is the
-# number of still-deficient patterns in cover r's CSR row, initially the
-# row length.  A pattern leaves the deficient set once, when a pick brings
-# its multiplicity to `lam`; then each of its covers (its cover_ranks row)
+# number of still-deficient patterns in cover r's row, initially its
+# length.  A pattern leaves the deficient set once, when a pick brings its
+# multiplicity to `lam`; then each of its covers (its cover_ranks row)
 # loses one.  The patterns finishing in one pick share covers, so the
 # decrement is one bincount rather than a fancy-index `-=`, which would
 # drop repeats.  A picked cover's gain is set to -(n! + 1); gains only
@@ -166,11 +166,12 @@ def joint_pair_counts(cover_ranks: np.ndarray, indptr: np.ndarray, data: np.ndar
 # np.argmax, which breaks ties to the lowest rank.
 
 
-def greedy_select(indptr, data, cover_ranks, lam):
-    n_covers = indptr.shape[0] - 1
+def greedy_select(pattern_rows, cover_ranks, lam):
+    n_covers = pattern_rows.shape[0]
     n_patterns = cover_ranks.shape[0]
     counts = np.zeros(n_patterns, dtype=np.int64)
-    gains = np.diff(indptr)
+    lengths = np.count_nonzero(pattern_rows < n_patterns, axis=1)
+    gains = lengths.copy()
     remaining = n_patterns * lam
     picks = []
     while remaining > 0:
@@ -178,7 +179,7 @@ def greedy_select(indptr, data, cover_ranks, lam):
         if gains[best] <= 0:
             break
         picks.append(best)
-        row = data[indptr[best] : indptr[best + 1]]
+        row = pattern_rows[best, : lengths[best]]
         reached = counts[row] + 1
         counts[row] = reached
         remaining -= int(np.count_nonzero(reached <= lam))

@@ -16,12 +16,14 @@ import warnings
 from pathlib import Path
 
 from .cover import (
+    METHODS,
     CoverCertificate,
     default_initial_size,
     parse_selected,
     verify_cover,
 )
-from .graph import CoverageGraph
+from .errors import ResourceLimitError
+from .graph import CoverageGraph, build_graph
 
 DEFAULT_CACHE_DIR = "permcover-cache"
 
@@ -90,7 +92,7 @@ def load_certificate(
             doc = json.load(fh)
         selected = parse_selected(g.n, doc["selected"])
         status, stored_size = doc.get("status"), doc.get("initial_size")
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError, AttributeError) as exc:
+    except (OSError, KeyError, ValueError, TypeError, AttributeError) as exc:
         _quarantine(path, f"unreadable: {exc}")
         return None
     if method == "exact" and status != "optimal":
@@ -107,30 +109,33 @@ def load_certificate(
                             optimal=method == "exact")
 
 
-def best_known_size(cache_dir: str | Path, n: int, lam: int) -> tuple[int, str] | None:
-    """Smallest verified-at-store-time size across cached methods for (n, lam).
+def best_known_size(
+    cache_dir: str | Path, n: int, lam: int, *, max_n: int | None = None
+) -> tuple[int, str] | None:
+    """Smallest size among the cached (n, lam) certificates that re-verify,
+    as (size, status), preferring proved-optimal ones; None if there are none.
 
-    Scans filenames only; entries are re-verified when actually loaded.
-    Returns (size, status) preferring proved-optimal entries.
+    Every file named by a known method's key is loaded through
+    load_certificate against a graph built for n, so an entry that fails
+    is quarantined and not reported.  Above the enumeration limit no graph
+    is built and nothing is reported.
     """
-    cache_dir = Path(cache_dir)
-    if not cache_dir.is_dir():
+    prefix = f"{n}-{lam}-"
+    requests = []
+    for path in sorted(Path(cache_dir).glob(f"{prefix}*.json")):
+        method, _, seed_text = path.stem[len(prefix):].partition("-")
+        if method not in METHODS or not (seed_text == "none" or seed_text.isdecimal()):
+            continue
+        seed = None if seed_text == "none" else int(seed_text)
+        if certificate_key(n, lam, method, seed) == path.stem:  # not e.g. seed "07"
+            requests.append((method, seed))
+    if not requests:
         return None
-    best: tuple[int, str] | None = None
-    for path in cache_dir.glob(f"{n}-{lam}-*.json"):
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-            size = int(doc["size"])
-            status = str(doc["status"])
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError, OSError):
-            continue
-        if status not in ("optimal", "feasible"):
-            continue
-        if (
-            best is None
-            or size < best[0]
-            or (size == best[0] and status == "optimal" and best[1] != "optimal")
-        ):
-            best = (size, status)
-    return best
+    try:
+        g = build_graph(n, max_n=max_n)
+    except ResourceLimitError:
+        return None
+    certs = [load_certificate(cache_dir, g, lam, method, seed) for method, seed in requests]
+    verified = [cert for cert in certs if cert is not None]
+    best = min(verified, key=lambda cert: (cert.size, not cert.optimal), default=None)
+    return None if best is None else (best.size, best.status)

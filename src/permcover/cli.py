@@ -36,6 +36,7 @@ from .cache import (
     store_certificate,
 )
 from .cover import (
+    METHODS,
     BoundTable,
     alteration_cover,
     exact_min_cover,
@@ -51,9 +52,6 @@ from .threshold import (
     p_for_mean,
     threshold_sweep,
 )
-
-_METHODS = ("exact", "greedy", "alteration", "lambda")
-
 
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name, "").strip()
@@ -220,7 +218,7 @@ def _cmd_graph(args) -> int:
         "pattern_count": g.n_patterns,
         "cover_count": g.n_covers,
         "succession_total": int(g.succ_counts.sum()),
-        "incidence_total": int(g.pattern_indptr[-1]),
+        "incidence_total": int(np.count_nonzero(g.pattern_rows < g.n_patterns)),
     }
     payload: dict = {"n": g.n, "identity": identity}
     violating = False
@@ -342,7 +340,7 @@ def _cmd_bounds(args) -> int:
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         table = BoundTable.evaluate(n, args.lam)
-        known = best_known_size(cache_dir, n, args.lam)
+        known = best_known_size(cache_dir, n, args.lam, max_n=args.max_n)
         rows.append(
             {
                 "n": n,
@@ -419,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="build or prove a cover certificate")
     solve.add_argument("--n", type=int, required=True)
     solve.add_argument("--lambda", dest="lam", type=int, default=1)
-    solve.add_argument("--method", choices=_METHODS, required=True)
+    solve.add_argument("--method", choices=METHODS, required=True)
     solve.add_argument("--seed", type=int, default=None)
     solve.add_argument("--budget", type=float, default=60.0,
                        help="time budget in seconds for --method exact")

@@ -125,6 +125,8 @@ def expected_uncovered_without_replacement(n: int, draws: int) -> float:
 # ---------------------------------------------------------------------------
 # Certificates and verification
 
+METHODS = ("exact", "greedy", "alteration", "lambda")
+
 
 @dataclasses.dataclass
 class VerifyResult:
@@ -212,9 +214,7 @@ def parse_selected(n: int, selected) -> tuple[int, ...]:
 def greedy_cover(g: CoverageGraph, lam: int = 1) -> CoverCertificate:
     """Deterministic max-residual-coverage greedy (ties to lowest rank)."""
     _check_lam(g, lam)
-    picks, remaining = _kernels.greedy_select(
-        g.pattern_indptr, g.pattern_data, g.cover_ranks, lam
-    )
+    picks, remaining = _kernels.greedy_select(g.pattern_rows, g.cover_ranks, lam)
     if remaining:
         raise RuntimeError("greedy could not complete the cover")  # unreachable for valid lam
     return CoverCertificate(g.n, lam, "greedy", tuple(sorted(int(r) for r in picks)))
@@ -312,7 +312,7 @@ def exact_min_cover(
     lower_bound == size).  Running out of budget keeps the best incumbent
     (status "feasible", lower_bound from the pigeonhole count).
     """
-    if time_budget <= 0:
+    if not time_budget > 0:  # also rejects NaN
         raise ValueError("time_budget must be positive")
     _check_lam(g, lam)
     deadline = time.perf_counter() + time_budget
@@ -327,7 +327,7 @@ def exact_min_cover(
     # gains[r]: still-deficient patterns of cover r, minus `chosen_offset`
     # while r is chosen.  A gain is at most n+1, so a chosen cover's is
     # negative and never the maximum.
-    gains = np.diff(g.pattern_indptr)
+    gains = (g.n + 1) - g.succ_counts.astype(np.int64)
     chosen_offset = g.n + 2
     chosen: list[int] = []
     timed_out = False

@@ -2,16 +2,18 @@
 
 The graph stores both adjacency directions densely, indexed by
 lexicographic rank: ``cover_ranks[p]`` lists the n^2+1 ranks of covers of
-pattern p, and a CSR pair (``pattern_indptr``, ``pattern_data``) lists the
-distinct patterns each cover contains.  Everything is immutable after
-build and safe for shared concurrent reads.
+pattern p, and row r of the padded table ``pattern_rows`` lists the
+distinct patterns of cover r in ascending order, followed by
+``succ_counts[r]`` copies of the sentinel n!.  Everything is immutable
+after build and safe for shared concurrent reads.
 
 One recursion yields S_{n+1} with the rank of every one-letter deletion
 (``_kernels.perms_and_deletions``).  Deleting at two adjacent positions
 whose values differ by exactly 1 gives the same pattern, so one per run is
-kept; each cover's ranks are sorted in place, and one stable sort of them
-gives the covers of each pattern.  The build checks that no cover lists a
-pattern twice and that every pattern has exactly n^2+1 covers.
+kept and the others become the sentinel; each row is sorted in place, and
+one stable sort of the whole table gives the covers of each pattern.  The
+build checks that no cover lists a pattern twice and that every pattern
+has exactly n^2+1 covers.
 """
 from __future__ import annotations
 
@@ -32,8 +34,9 @@ DEFAULT_MAX_N = 8
 """Largest pattern length n for full enumeration of S_{n+1} by default.
 
 Memory and build time grow like (n+1)! * (n+1); n=8, all 362880
-permutations of length 9, builds in ~0.2 s at a ~130 MB peak (Python 3.11,
-numpy 2.4, 2 cores).  Override with PERMCOVER_MAX_N or ``max_n``.
+permutations of length 9, builds in ~0.2 s at a ~112 MB peak (Python 3.11,
+numpy 2.4, 2 cores), and the pair statistics do not raise it.  Override
+with PERMCOVER_MAX_N or ``max_n``.
 """
 
 
@@ -60,15 +63,14 @@ class PairStats(NamedTuple):
 class CoverageGraph:
     """Immutable incidence between ranked S_n and ranked S_{n+1}."""
 
-    def __init__(self, n, cover_ranks, pattern_indptr, pattern_data, succ_counts):
+    def __init__(self, n, cover_ranks, pattern_rows, succ_counts):
         self.n = n
         self.n_patterns = factorial(n)
         self.n_covers = factorial(n + 1)
         self.cover_ranks = cover_ranks
-        self.pattern_indptr = pattern_indptr
-        self.pattern_data = pattern_data
+        self.pattern_rows = pattern_rows
         self.succ_counts = succ_counts
-        for arr in (cover_ranks, pattern_indptr, pattern_data, succ_counts):
+        for arr in (cover_ranks, pattern_rows, succ_counts):
             arr.flags.writeable = False  # the queries hand out views of these
         self._pair_stats = None
 
@@ -90,7 +92,7 @@ class CoverageGraph:
     def pattern_row(self, r: int) -> np.ndarray:
         """Sorted ranks of the distinct one-letter-deletion patterns of cover r."""
         self._check_cover_rank(r)
-        return self.pattern_data[self.pattern_indptr[r] : self.pattern_indptr[r + 1]]
+        return self.pattern_rows[r, : self.n + 1 - self.succ_counts[r]]
 
     def joint_covers(self, p: int, p2: int) -> np.ndarray:
         """Sorted ranks of the covers containing both patterns; equals
@@ -104,13 +106,12 @@ class CoverageGraph:
     def co_coverable(self, p: int) -> np.ndarray:
         """Sorted ranks of the patterns p' != p sharing at least one cover with p.
 
-        Computed as the union of the pattern lists of p's covers, minus p
-        itself; its size is ``joint_count_matrix().partners[p]``.
+        Computed as the union of the pattern rows of p's covers, minus p
+        itself and the sentinel; its size is ``joint_count_matrix().partners[p]``.
         """
         self._check_pattern_rank(p)
-        rows = [self.pattern_row(int(r)) for r in self.cover_ranks[p]]
-        partners = np.unique(np.concatenate(rows))
-        return partners[partners != p]
+        partners = np.unique(self.pattern_rows[self.cover_ranks[p]])
+        return partners[(partners != p) & (partners != self.n_patterns)]
 
     def joint_count_matrix(self) -> PairStats:
         """The sparse joint-coverage summary (PairStats), built once and cached.
@@ -120,7 +121,7 @@ class CoverageGraph:
         """
         if self._pair_stats is None:
             self._pair_stats = PairStats(*_kernels.joint_pair_counts(
-                self.cover_ranks, self.pattern_indptr, self.pattern_data
+                self.cover_ranks, self.pattern_rows
             ))
         return self._pair_stats
 
@@ -163,7 +164,6 @@ def build_graph(n: int, *, max_n: int | None = None) -> CoverageGraph:
         )
 
     perms_next, dels = _kernels.perms_and_deletions(n + 1)
-    n_covers = perms_next.shape[0]
     n_patterns = factorial(n)
 
     succ_pairs = np.abs(np.diff(perms_next.astype(np.int16), axis=1)) == 1
@@ -173,24 +173,26 @@ def build_graph(n: int, *, max_n: int | None = None) -> CoverageGraph:
     # pattern; keep the rightmost deletion of each run.  The dropped ones
     # become the sentinel n!, which sorts to the end of its row.
     dels[:, :-1][succ_pairs] = n_patterns
-    dels.sort(axis=1)
-    if np.any((dels[:, 1:] == dels[:, :-1]) & (dels[:, :-1] < n_patterns)):
+    pattern_rows = dels.astype(np.int32)
+    del dels
+    pattern_rows.sort(axis=1)
+    left, right = pattern_rows[:, :-1], pattern_rows[:, 1:]
+    if np.any((left == right) & (left < n_patterns)):
         raise RuntimeError("duplicate pattern in a cover's deletion list")
-    pattern_data = dels[dels < n_patterns].astype(np.int32)
-
-    counts_per_row = n + 1 - succ_counts.astype(np.int64)
-    pattern_indptr = np.concatenate(([0], np.cumsum(counts_per_row)))
 
     per_pattern = covers_per_pattern(n)
-    if not np.all(np.bincount(pattern_data, minlength=n_patterns) == per_pattern):
+    cover_counts = np.bincount(pattern_rows.ravel(), minlength=n_patterns)[:n_patterns]
+    if not np.all(cover_counts == per_pattern):
         raise RuntimeError(f"cover counts are not uniformly {per_pattern} at n={n}")
-    # numpy radix-sorts keys of 16 bits or fewer, which covers n <= 8
-    keys = pattern_data.astype(np.min_scalar_type(n_patterns - 1))
-    by_pattern = np.argsort(keys, kind="stable")
-    pattern_rows = np.repeat(np.arange(n_covers, dtype=np.int32), counts_per_row)
-    cover_ranks = pattern_rows[by_pattern].reshape(n_patterns, per_pattern)
+    # numpy radix-sorts keys of 16 bits or fewer, which covers n <= 8; the
+    # sentinels sort last and are cut off, and flat index // (n+1) is the cover
+    keys = pattern_rows.astype(np.min_scalar_type(n_patterns)).ravel()
+    by_pattern = np.argsort(keys, kind="stable")[: n_patterns * per_pattern]
+    del keys
+    by_pattern //= n + 1
+    cover_ranks = by_pattern.astype(np.int32).reshape(n_patterns, per_pattern)
 
-    return CoverageGraph(n, cover_ranks, pattern_indptr, pattern_data, succ_counts)
+    return CoverageGraph(n, cover_ranks, pattern_rows, succ_counts)
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ def threshold_boundaries(n: int, omega: float) -> tuple[float, float]:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if omega <= 0:
+    if not omega > 0:  # also rejects NaN
         raise ValueError("omega must be positive")
     ln = log(n)
     p_zero = (ln - 1.0 + 0.5 * ln / n - omega / n) / n

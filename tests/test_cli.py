@@ -242,6 +242,23 @@ class TestDispatch:
         assert run(tmp_path, "solve", "--n", "3", "--method", "alteration") == 2  # no seed
         assert run(tmp_path, "gap", "--n", "2", "--trials", "10", "--seed", "0") == 2
 
+    def test_nan_budget_is_a_usage_error(self, tmp_path, capsys):
+        # a NaN deadline never expires; at n=4 the search would still finish
+        argv = ("solve", "--n", "4", "--method", "exact", "--budget", "nan", "--no-cache")
+        assert run(tmp_path, *argv) == 2
+        assert "time_budget must be positive" in capsys.readouterr().err
+
+    def test_nan_omega_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = run(
+            tmp_path, "threshold", "--n", "3", "--pmin", "0.1", "--pmax", "0.5",
+            "--steps", "1", "--trials", "8", "--seed", "0", "--omega", "nan",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
+        assert "omega must be positive" in capsys.readouterr().err
+
     def test_resource_limit_exit(self, tmp_path):
         assert run(tmp_path, "graph", "--n", "9") == 3
 
@@ -329,6 +346,17 @@ class TestCache:
             assert cache.load_certificate(tmp_path, g, 1, "exact", None) is None
         assert not path.exists()
 
+    def test_unopenable_entry_quarantined(self, tmp_path, graph):
+        # a directory under an entry's name cannot be read; neither a load
+        # nor the best-known scan may crash on it
+        path = cache.certificate_path(tmp_path, cache.certificate_key(3, 1, "greedy", None))
+        path.mkdir(parents=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cache.best_known_size(tmp_path, 3, 1) is None
+        assert any("failed validation (unreadable" in str(w.message) for w in caught)
+        assert not path.exists()
+
     def test_concurrent_stores_one_winner(self, tmp_path, graph):
         g = graph(3)
         cert = greedy_cover(g)
@@ -362,6 +390,44 @@ class TestCache:
         assert cache.best_known_size(tmp_path, 3, 1) == (3, "feasible")
         cache.store_certificate(tmp_path, exact_min_cover(g, 1, 30))
         assert cache.best_known_size(tmp_path, 3, 1) == (2, "optimal")
+
+    def test_best_known_ignores_edited_claims(self, tmp_path, capsys):
+        # only the re-verified cover counts: a greedy entry edited to claim
+        # size 3, below the pigeonhole bound of 5, reports its real size
+        assert run(tmp_path, "--quiet", "solve", "--n", "4", "--method", "greedy") == 0
+        path = entry(tmp_path, "4-1-greedy-none")
+        doc = json.loads(path.read_text())
+        size = doc["size"]
+        doc.update(size=3, status="optimal")
+        path.write_text(json.dumps(doc))
+        assert cache.best_known_size(tmp_path / "cache", 4, 1) == (size, "feasible")
+        assert run(tmp_path, "bounds", "--n-min", "4", "--n-max", "4") == 0
+        assert f"best_known={size} (feasible)" in capsys.readouterr().out
+        assert path.exists()
+
+    def test_best_known_quarantines_non_verifying_entries(self, tmp_path, graph):
+        path = cache.store_certificate(tmp_path, exact_min_cover(graph(3), 1, 30))
+        doc = json.loads(path.read_text())
+        doc["selected"] = doc["selected"][:-1]  # no longer a cover
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cache.best_known_size(tmp_path, 3, 1) is None
+        assert any("failed validation" in str(w.message) for w in caught)
+        assert not path.exists()
+        assert path.with_suffix(".json.quarantined").exists()
+
+    def test_best_known_reads_only_method_keys(self, tmp_path, graph):
+        # a file not named by a known method's key is never read, and above
+        # the enumeration limit nothing is reported
+        cache.store_certificate(tmp_path, greedy_cover(graph(3)))
+        strays = [tmp_path / f"{stem}.json"
+                  for stem in ("3-1-bogus-none", "3-1-greedy-07", "3-1-greedy")]
+        for path in strays:
+            path.write_text("{ not json")
+        assert cache.best_known_size(tmp_path, 3, 1) == (3, "feasible")
+        assert all(path.exists() for path in strays)
+        assert cache.best_known_size(tmp_path, 3, 1, max_n=2) is None
 
 
 def solve_payload(tmp_path, name, *argv):

@@ -182,8 +182,7 @@ class TestGreedy:
         # cover's deficient patterns at every pick.  At n=1, lam=3 both
         # run out of covers and report the same unmet deficiency.
         g = graph(n)
-        picks, remaining = _kernels.greedy_select(
-            g.pattern_indptr, g.pattern_data, g.cover_ranks, lam)
+        picks, remaining = _kernels.greedy_select(g.pattern_rows, g.cover_ranks, lam)
         ref_picks, ref_remaining = recompute_greedy(g, lam)
         assert picks.tolist() == ref_picks
         assert remaining == ref_remaining == (1 if lam > n * n + 1 else 0)
@@ -195,8 +194,7 @@ class TestGreedy:
     def test_n7_picks_golden(self, graph, lam, size, digest):
         # picks in selection order, as little-endian int64
         g = graph(7)
-        picks, remaining = _kernels.greedy_select(
-            g.pattern_indptr, g.pattern_data, g.cover_ranks, lam)
+        picks, remaining = _kernels.greedy_select(g.pattern_rows, g.cover_ranks, lam)
         assert remaining == 0 and picks.size == size
         assert hashlib.sha256(picks.astype("<i8").tobytes()).hexdigest() == digest
 
@@ -209,8 +207,8 @@ def recompute_greedy(g, lam):
     picks = []
     while remaining > 0:
         deficient = counts < lam
-        gains = np.add.reduceat(deficient[g.pattern_data].astype(np.int64),
-                                g.pattern_indptr[:-1])
+        # the sentinel n! pads each row and is never deficient
+        gains = np.append(deficient, False)[g.pattern_rows].sum(axis=1)
         gains[picked] = -1
         best = int(np.argmax(gains))
         if gains[best] <= 0:

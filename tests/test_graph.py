@@ -1,6 +1,9 @@
 import hashlib
 import itertools
+import subprocess
+import sys
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,7 +71,7 @@ class TestBuild:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_succession_identity(self, n, graph):
         g = graph(n)
-        sizes = np.diff(g.pattern_indptr)
+        sizes = np.count_nonzero(g.pattern_rows < g.n_patterns, axis=1)
         assert np.array_equal(sizes, (n + 1) - g.succ_counts.astype(np.int64))
         assert int(sizes.sum()) == factorial(n) * covers_per_pattern(n)
         assert int(g.succ_counts.sum()) == 2 * n * factorial(n)
@@ -98,7 +101,7 @@ class TestBuild:
     def test_n4_double_count(self, graph):
         # sum over S_5 of distinct patterns = 24 * 17
         g = graph(4)
-        assert int(np.diff(g.pattern_indptr).sum()) == 24 * 17 == 408
+        assert int(np.count_nonzero(g.pattern_rows < g.n_patterns)) == 24 * 17 == 408
 
     def test_build_errors(self):
         with pytest.raises(ValueError):
@@ -128,6 +131,8 @@ class TestBuild:
         (7, {
             "cover_ranks": ("int32", (5040, 50),
                             "1d58f540dea94dfd8bebfbd6eeefa495c7a5977cf9194b071525c9fa34de4898"),
+            "pattern_rows": ("int32", (40320, 8),
+                             "ec609e99b26cfc9213c2e39fbfd78623180307a306e20af1be85716aa01d9500"),
             "pattern_indptr": ("int64", (40321,),
                                "9cf63fe126a70000db785406d24caec8cb239424107d7b4496dcd9ad44a7d4df"),
             "pattern_data": ("int32", (252000,),
@@ -138,6 +143,8 @@ class TestBuild:
         (8, {
             "cover_ranks": ("int32", (40320, 65),
                             "adb35a0215fd962f4906394b4af45e7dd04589aaef417a19096386bd4e70c9e7"),
+            "pattern_rows": ("int32", (362880, 9),
+                             "53e340b184acf3b92fdff31f206c3d58a5522fb508dc2033745d5abd5745eba9"),
             "pattern_indptr": ("int64", (362881,),
                                "ed1475752167daf0f8c24f1e454b52b7889de8f8dc16a5d3fcd0af518c2b0f8e"),
             "pattern_data": ("int32", (2620800,),
@@ -148,8 +155,17 @@ class TestBuild:
     ])
     def test_arrays_pinned(self, n, pinned, graph):
         g = graph(n)
+        lengths = (n + 1) - g.succ_counts.astype(np.int64)
+        arrays = {
+            "cover_ranks": g.cover_ranks,
+            "pattern_rows": g.pattern_rows,
+            # the CSR pair the graph stored before the padded table
+            "pattern_indptr": np.concatenate(([0], np.cumsum(lengths))),
+            "pattern_data": g.pattern_rows[g.pattern_rows < g.n_patterns],
+            "succ_counts": g.succ_counts,
+        }
         for name, (dtype, shape, digest) in pinned.items():
-            arr = getattr(g, name)
+            arr = arrays[name]
             assert (arr.dtype, arr.shape) == (np.dtype(dtype), shape), name
             assert hashlib.sha256(arr.tobytes()).hexdigest() == digest, name
 
@@ -176,8 +192,25 @@ class TestBuild:
         g1 = graph(4)
         g2 = build_graph(4)
         assert np.array_equal(g1.cover_ranks, g2.cover_ranks)
-        assert np.array_equal(g1.pattern_data, g2.pattern_data)
-        assert np.array_equal(g1.pattern_indptr, g2.pattern_indptr)
+        assert np.array_equal(g1.pattern_rows, g2.pattern_rows)
+        assert np.array_equal(g1.succ_counts, g2.succ_counts)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_padded_layout(self, n, graph):
+        # each row ascends strictly up to its length n+1-succ_counts[r],
+        # then holds only the sentinel n!; pattern_row is a read-only view
+        g = graph(n)
+        rows = g.pattern_rows
+        assert rows.dtype == np.int32 and rows.shape == (g.n_covers, n + 1)
+        lengths = (n + 1) - g.succ_counts.astype(np.int64)
+        real = np.arange(n + 1) < lengths[:, None]
+        assert np.array_equal(rows == g.n_patterns, ~real)
+        assert rows.min() >= 0 and rows[real].max() < g.n_patterns
+        assert np.all(np.diff(rows, axis=1)[real[:, 1:]] > 0)
+        for r in range(g.n_covers):
+            row = g.pattern_row(r)
+            assert row.size == lengths[r] and np.shares_memory(row, rows)
+            assert not row.flags.writeable
 
 
 class TestQueries:
@@ -445,7 +478,7 @@ class TestPairStats:
     def test_block_size_does_not_change_the_result(self, block, graph, monkeypatch):
         g = graph(5)
         monkeypatch.setattr(_kernels, "_PAIR_BLOCK", block)
-        blocked = _kernels.joint_pair_counts(g.cover_ranks, g.pattern_indptr, g.pattern_data)
+        blocked = _kernels.joint_pair_counts(g.cover_ranks, g.pattern_rows)
         for got, want in zip(blocked, g.joint_count_matrix()):
             assert np.array_equal(got, want)
 
@@ -472,3 +505,24 @@ class TestPairStats:
         assert not stats.n_pairs[5:].any()
         assert int(stats.partners.max()) == max_j
         assert len(stats.four_cover_pairs) == four
+
+    def test_n8_memory_peak(self):
+        # The build and the pair statistics share the padded pattern table,
+        # so neither copies it.  The bound is on growth over the process's
+        # peak after import: on Linux, Python 3.11, numpy 2.4 the build plus
+        # pair statistics grow it by ~81 MB, and by ~111 MB when the pair
+        # statistics rebuilt the table from a CSR copy.
+        script = (
+            "import resource, sys; sys.path.insert(0, sys.argv[1])\n"
+            "from permcover.graph import build_graph\n"
+            "def peak(): return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+            "base = peak()\n"
+            "build_graph(8).joint_count_matrix()\n"
+            "print(peak() - base)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(Path(__file__).resolve().parents[1] / "src")],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 96.0
