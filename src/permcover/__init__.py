@@ -20,7 +20,6 @@ from .cover import (
     alteration_cover,
     alteration_upper_bound,
     exact_min_cover,
-    exhaustive_min_cover_size,
     expected_uncovered_without_replacement,
     greedy_cover,
     lambda_cover,
@@ -91,7 +90,6 @@ __all__ = [
     "exact_mean",
     "exact_min_cover",
     "exact_variance",
-    "exhaustive_min_cover_size",
     "expected_uncovered_without_replacement",
     "format_perm",
     "gap_experiment",

@@ -50,23 +50,19 @@ def perms_and_deletions(length: int):
     return perms, dels
 
 
-def lehmer_weights(length: int) -> np.ndarray:
-    """Mixed-radix weights for ranking: weights[i] = (length-1-i)!."""
-    return np.array([factorial(length - 1 - i) for i in range(length)], dtype=np.int64)
-
-
 # ---------------------------------------------------------------------------
 # lehmer_ranks: lexicographic rank of every row of a matrix of distinct values
 # (only relative order matters, so deleted subsequences rank correctly
-# without being standardized first).
+# without being standardized first).  Position i carries the mixed-radix
+# weight (length-1-i)!.
 
 
-def lehmer_ranks(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def lehmer_ranks(mat: np.ndarray) -> np.ndarray:
     rows, length = mat.shape
     out = np.zeros(rows, dtype=np.int64)
     for i in range(length - 1):
         smaller = (mat[:, i + 1 :] < mat[:, i : i + 1]).sum(axis=1)
-        out += smaller.astype(np.int64) * weights[i]
+        out += smaller.astype(np.int64) * factorial(length - 1 - i)
     return out
 
 
@@ -187,41 +183,3 @@ def greedy_select(pattern_rows, cover_ranks, lam):
         gains -= np.bincount(cover_ranks[done].ravel(), minlength=n_covers)
         gains[best] = -n_patterns - 1
     return np.array(picks, dtype=np.int64), int(remaining)
-
-
-# ---------------------------------------------------------------------------
-# subset_cover_exists: exhaustive search for a size-k subset of covers whose
-# pattern sets union to everything.  Used as the independent oracle against
-# the branch-and-bound solver: plain combination enumeration over pattern
-# bitmasks, pruned only by (a) requiring every chosen set to add at least
-# one new pattern and (b) the remaining-capacity count.  Both prunes are
-# sound when k is probed in increasing order.
-
-
-def subset_cover_exists(pat_bool: np.ndarray, k: int, max_gain: int) -> bool:
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    n_sets, n_patterns = pat_bool.shape
-    full = (1 << n_patterns) - 1
-    masks = []
-    for r in range(n_sets):
-        m = 0
-        for q in np.flatnonzero(pat_bool[r]):
-            m |= 1 << int(q)
-        masks.append(m)
-
-    def rec(start: int, acc: int, depth: int) -> bool:
-        if acc == full:
-            return True
-        if depth == k:
-            return False
-        need = (full & ~acc).bit_count()
-        if need > (k - depth) * max_gain:
-            return False
-        for i in range(start, n_sets - (k - depth) + 1):
-            new = acc | masks[i]
-            if new != acc and rec(i + 1, new, depth + 1):
-                return True
-        return False
-
-    return rec(0, 0, 0)

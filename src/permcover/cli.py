@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -71,6 +72,14 @@ def _resolve_cache_dir(args) -> Path:
     return Path(env) if env else Path(DEFAULT_CACHE_DIR)
 
 
+def _budget(text: str) -> float:
+    """argparse type for --budget: a positive, finite number of seconds."""
+    value = float(text)
+    if not 0 < value < math.inf:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"time_budget must be positive and finite, got {text}")
+    return value
+
+
 def _say(args, message: str):
     if not args.quiet:
         print(message)
@@ -92,7 +101,9 @@ def _write_envelope(args, out_path, subcommand: str, config: dict, payload: dict
         "warnings": warnings_list,
         "payload": payload,
     }
-    _write_out(args, out_path, json.dumps(envelope, indent=2, sort_keys=True) + "\n")
+    # allow_nan=False: a NaN or Infinity is not JSON and must not reach a payload
+    text = json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False)
+    _write_out(args, out_path, text + "\n")
     return envelope
 
 
@@ -419,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--lambda", dest="lam", type=int, default=1)
     solve.add_argument("--method", choices=METHODS, required=True)
     solve.add_argument("--seed", type=int, default=None)
-    solve.add_argument("--budget", type=float, default=60.0,
+    solve.add_argument("--budget", type=_budget, default=60.0,
                        help="time budget in seconds for --method exact")
     solve.add_argument("--initial-size", type=int, default=None,
                        help="override the randomized constructions' initial sample size")

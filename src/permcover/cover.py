@@ -378,24 +378,6 @@ def exact_min_cover(
     return CoverCertificate(g.n, lam, "exact", tuple(best), optimal=not timed_out)
 
 
-def exhaustive_min_cover_size(g: CoverageGraph, start_k: int | None = None) -> int:
-    """Minimum cover size by plain subset enumeration (independent oracle).
-
-    Probes k = start_k, start_k+1, ... with an exhaustive combination
-    search over the boolean incidence matrix.  Exponential; intended for
-    desk-scale cross-checks of the branch-and-bound solver (n <= 4).
-    """
-    pat_bool = np.zeros((g.n_covers, g.n_patterns), dtype=bool)
-    for r in range(g.n_covers):
-        pat_bool[r, g.pattern_row(r)] = True
-    max_gain = g.n + 1
-    k = pigeonhole_lower_bound(g.n, 1) if start_k is None else start_k
-    while True:
-        if _kernels.subset_cover_exists(pat_bool, k, max_gain):
-            return k
-        k += 1
-
-
 # ---------------------------------------------------------------------------
 # Bounds table
 

@@ -252,9 +252,7 @@ def _adjacent_swap_pairs(n: int):
     swapped = np.repeat(perms[:, None, :], n - 1, axis=1)
     swapped[:, swaps, swaps] = perms[:, swaps + 1]
     swapped[:, swaps, swaps + 1] = perms[:, swaps]
-    other = _kernels.lehmer_ranks(
-        swapped.reshape(-1, n), _kernels.lehmer_weights(n)
-    ).reshape(size, n - 1)
+    other = _kernels.lehmer_ranks(swapped.reshape(-1, n)).reshape(size, n - 1)
     ranks = np.arange(size, dtype=np.int64)[:, None]
     keys = ranks * size + other
     lower = ranks < other  # each unordered pair once

@@ -392,6 +392,11 @@ def threshold_sweep(
     grid = [float(p) for p in p_grid]
     if not grid or sorted(grid) != grid:
         raise ValueError("p_grid must be a non-empty ascending grid")
+    # checked before sampling, so a bad omega costs no trials
+    if g.n >= 2:
+        p_zero, p_one = threshold_boundaries(g.n, omega_ref)
+    else:
+        p_zero = p_one = None
     rows = []
     for i, p in enumerate(grid):
         est = mc_cover_probability(
@@ -408,10 +413,6 @@ def threshold_sweep(
                 lambda_exact=exact_mean(g.n, p),
             )
         )
-    if g.n >= 2:
-        p_zero, p_one = threshold_boundaries(g.n, omega_ref)
-    else:
-        p_zero = p_one = None
     return SweepReport(
         n=g.n,
         trials=trials,

@@ -18,7 +18,6 @@ from math import factorial, sqrt
 import numpy as np
 import pytest
 
-from permcover import _kernels
 from permcover.cover import (
     alteration_cover,
     alteration_upper_bound,
@@ -118,16 +117,14 @@ def test_3_known_minimum_cover_sizes(graph):
     assert 5 <= cert4.size <= greedy_size
     assert verify_cover(g4, cert4.selected, 1).ok
 
-    # independent oracle: plain combination enumeration, no branch-and-bound
-    pat_bool = np.zeros((g4.n_covers, g4.n_patterns), dtype=bool)
-    for r in range(g4.n_covers):
-        pat_bool[r, g4.pattern_row(r)] = True
-    k = pigeonhole_lower_bound(4, 1)
-    while not _kernels.subset_cover_exists(pat_bool, k, 5):
-        k += 1
+    # independent oracle, built from itertools alone: no 6 covers of S_4
+    # suffice (so no fewer do) and some 7 do, so the optimum is 7
+    assert [_oracle_min_cover_size(n) for n in (1, 2, 3)] == [1, 1, 2]
+    k = 7
+    assert not _oracle_cover_exists(4, k - 1) and _oracle_cover_exists(4, k)
     assert k == cert4.size
 
-    ok = report(3, "minimum covers: 1, 1, 2 proved; n=4 optimum matches the subset oracle",
+    ok = report(3, "minimum covers: 1, 1, 2 proved; n=4 optimum matches the itertools oracle",
                 True, f"size(4)={cert4.size}, {time.perf_counter() - t0:.1f}s")
     assert ok
 
@@ -177,6 +174,62 @@ def _brute_force_joint_coverage(n):
             if abs(p[i] - p[i + 1]) == 1:
                 values.add(pair)
     return pats, covers, four, positions, values
+
+
+def _oracle_deletion_masks(n):
+    """Pattern bitmask of each cover, built from itertools alone.
+
+    Covers and patterns are listed by itertools.permutations, so list index
+    = rank.  Bit p of masks[r] is set when deleting one letter of cover r
+    and standardising leaves pattern p.
+    """
+    index = {p: i for i, p in enumerate(itertools.permutations(range(1, n + 1)))}
+    masks = []
+    for c in itertools.permutations(range(1, n + 2)):
+        mask = 0
+        for i in range(n + 1):
+            mask |= 1 << index[tuple(x - (x > c[i]) for x in c[:i] + c[i + 1:])]
+        masks.append(mask)
+    return masks
+
+
+def _oracle_cover_exists(n, k):
+    """Whether some k covers together contain every pattern of S_n.
+
+    Exhaustive: every solution holds a cover of the lowest still-uncovered
+    pattern, so the search branches over those covers only.  It stops once
+    more patterns are uncovered than k more covers, each containing at most
+    n+1 patterns, can reach.
+    """
+    masks = _oracle_deletion_masks(n)
+    containing = [[m for m in masks if m >> p & 1] for p in range(factorial(n))]
+
+    def search(uncovered, k):
+        if not uncovered:
+            return True
+        if uncovered.bit_count() > k * (n + 1):
+            return False
+        low = (uncovered & -uncovered).bit_length() - 1
+        return any(search(uncovered & ~m, k - 1) for m in containing[low])
+
+    return search((1 << factorial(n)) - 1, k)
+
+
+def _oracle_min_cover_size(n):
+    k = 0
+    while not _oracle_cover_exists(n, k):
+        k += 1
+    return k
+
+
+def test_3_oracle_masks_match_insertion_covers():
+    """The oracle's deletion-built masks agree with 4b's insertion-built
+    cover sets: two itertools constructions that share no code."""
+    for n in (3, 4):
+        pats, covers = _brute_force_joint_coverage(n)[:2]
+        masks = _oracle_deletion_masks(n)
+        for r, c in enumerate(itertools.permutations(range(1, n + 2))):
+            assert masks[r] == sum(1 << p for p in range(len(pats)) if c in covers[p]), (n, c)
 
 
 def test_4b_adjacent_swap_iff_characterization(graph):

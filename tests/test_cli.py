@@ -482,6 +482,17 @@ class TestSolveCache:
         assert doc["payload"]["selected"] != default["payload"]["selected"]
         assert entry(tmp_path, "6-1-alteration-1").read_bytes() == stored
 
+    @pytest.mark.parametrize("budget", ["nan", "inf", "0"])
+    def test_bad_budget_is_rejected_before_the_cache(self, tmp_path, capsys, budget):
+        # a cache hit never reads the budget, so only the parser can reject it
+        assert run(tmp_path, "--quiet", "solve", "--n", "3", "--method", "exact") == 0
+        assert entry(tmp_path, "3-1-exact-none").exists()
+        out = tmp_path / "bad.json"
+        argv = ("solve", "--n", "3", "--method", "exact", "--budget", budget, "--out", str(out))
+        assert run(tmp_path, *argv) == 2
+        assert not out.exists()
+        assert "time_budget must be positive" in capsys.readouterr().err
+
     def test_timed_out_exact_is_not_stored(self, tmp_path):
         code, doc = solve_payload(tmp_path, "exact5", "--n", "5", "--method", "exact",
                                   "--budget", "0.05")

@@ -14,7 +14,6 @@ from permcover.cover import (
     alteration_upper_bound,
     alteration_upper_bound_loose,
     exact_min_cover,
-    exhaustive_min_cover_size,
     expected_uncovered_without_replacement,
     greedy_cover,
     lambda_cover,
@@ -323,9 +322,6 @@ class TestExactMinCover:
         assert cert.status == "optimal"
         assert verify_cover(g, cert.selected, 2).ok
         assert cert.size >= pigeonhole_lower_bound(2, 2)
-
-    def test_oracle_agrees_at_n3(self, graph):
-        assert exhaustive_min_cover_size(graph(3)) == 2
 
     def test_reversal_image_of_cover_verifies(self, graph):
         # coverage equivariance: reversing every member of a verifying

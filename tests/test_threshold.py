@@ -4,7 +4,7 @@ from math import exp, factorial, log, sqrt
 import numpy as np
 import pytest
 
-from permcover import _kernels
+from permcover import _kernels, threshold
 from permcover.cover import verify_cover
 from permcover.perms import Permutation, rank
 from permcover.threshold import (
@@ -432,6 +432,14 @@ class TestSweep:
         report = threshold_sweep(g, grid, 500, master_seed=4)
         for a, b in zip(report.rows, report.rows[1:]):
             assert b.ci_hi >= a.ci_lo
+
+    def test_omega_checked_before_sampling(self, graph, monkeypatch):
+        def sample(*args, **kwargs):
+            raise AssertionError("sampled before omega was checked")
+
+        monkeypatch.setattr(threshold, "run_uncovered_counts", sample)
+        with pytest.raises(ValueError, match="omega must be positive"):
+            threshold_sweep(graph(3), [0.1, 0.2], 50, master_seed=0, omega_ref=0.0)
 
     def test_boundaries_annotated(self, graph):
         report = threshold_sweep(graph(3), [0.1, 0.2], 50, master_seed=0)
