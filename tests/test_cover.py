@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from fractions import Fraction
 from math import comb, factorial, log
 
@@ -322,6 +323,18 @@ class TestExactMinCover:
         assert cert.status == "optimal"
         assert verify_cover(g, cert.selected, 2).ok
         assert cert.size >= pigeonhole_lower_bound(2, 2)
+
+    def test_oracle_agrees_at_n3(self, graph):
+        # itertools-only oracle: the patterns each permutation of S_4
+        # contains, found by deleting one letter and standardising
+        def patterns(c):
+            return {tuple(x - (x > c[i]) for x in c[:i] + c[i + 1:]) for i in range(4)}
+
+        every = set(itertools.permutations(range(1, 4)))
+        covers = [patterns(c) for c in itertools.permutations(range(1, 5))]
+        assert not any(c == every for c in covers)
+        assert any(a | b == every for a, b in itertools.combinations(covers, 2))
+        assert exact_min_cover(graph(3), 1, time_budget=30).size == 2
 
     def test_reversal_image_of_cover_verifies(self, graph):
         # coverage equivariance: reversing every member of a verifying
