@@ -23,7 +23,7 @@ from .cover import (
     verify_cover,
 )
 from .errors import ResourceLimitError
-from .graph import CoverageGraph, build_graph
+from .graph import DEFAULT_MAX_N, CoverageGraph, build_graph
 
 DEFAULT_CACHE_DIR = "permcover-cache"
 
@@ -110,7 +110,7 @@ def load_certificate(
 
 
 def best_known_size(
-    cache_dir: str | Path, n: int, lam: int, *, max_n: int | None = None
+    cache_dir: str | Path, n: int, lam: int, *, max_n: int = DEFAULT_MAX_N
 ) -> tuple[int, str] | None:
     """Smallest size among the cached (n, lam) certificates that re-verify,
     as (size, status), preferring proved-optimal ones; None if there are none.

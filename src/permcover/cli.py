@@ -8,7 +8,9 @@ Exit codes: 0 success; 1 verification/audit violation; 2 usage error;
 3 resource limit exceeded.
 
 Configuration precedence: flags > environment (PERMCOVER_CACHE,
-PERMCOVER_MAX_N, PERMCOVER_WORKERS) > built-in defaults.
+PERMCOVER_MAX_N, PERMCOVER_WORKERS) > built-in defaults.  The variables are
+read here, as the parser's defaults, and only here: a bad value is a usage
+error before any work, and the library reads no environment.
 
 Envelope layout: the scientific payload is reproducible bit-for-bit from
 the echoed config (same seeds, any worker count); volatile run facts
@@ -46,7 +48,7 @@ from .cover import (
     verify_cover,
 )
 from .errors import ResourceLimitError
-from .graph import audit_joint_coverage, build_graph
+from .graph import DEFAULT_MAX_N, audit_joint_coverage, build_graph
 from .threshold import (
     critical_window_p,
     gap_experiment,
@@ -54,30 +56,34 @@ from .threshold import (
     threshold_sweep,
 )
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    return int(raw) if raw else default
+
+def _env(name: str, default):
+    """A flag's default: the variable's text when set, else ``default``.
+
+    argparse passes a text default through the flag's ``type`` only when
+    the flag is absent, so a flag wins over a bad variable."""
+    return os.environ.get(name, "").strip() or default
 
 
-def _resolve_workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    return max(1, _env_int("PERMCOVER_WORKERS", 1))
-
-
-def _resolve_cache_dir(args) -> Path:
-    if args.cache_dir is not None:
-        return Path(args.cache_dir)
-    env = os.environ.get("PERMCOVER_CACHE", "").strip()
-    return Path(env) if env else Path(DEFAULT_CACHE_DIR)
-
-
-def _budget(text: str) -> float:
-    """argparse type for --budget: a positive, finite number of seconds."""
-    value = float(text)
-    if not 0 < value < math.inf:  # also rejects NaN
-        raise argparse.ArgumentTypeError(f"time_budget must be positive and finite, got {text}")
+def _workers(text: str) -> int:
+    """argparse type for --workers: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"workers must be an integer >= 1, got {text!r}")
     return value
+
+
+def _positive_finite(name: str):
+    """argparse type: a positive, finite float, called ``name`` in errors."""
+    def number(text: str) -> float:
+        value = float(text)
+        if not 0 < value < math.inf:  # also rejects NaN
+            raise argparse.ArgumentTypeError(f"{name} must be positive and finite, got {text}")
+        return value
+    return number
 
 
 def _say(args, message: str):
@@ -85,17 +91,17 @@ def _say(args, message: str):
         print(message)
 
 
-def _write_envelope(args, out_path, subcommand: str, config: dict, payload: dict,
-                    warnings_list: list[str], wall_ms: float, workers: int):
+def _write_envelope(args, config: dict, payload: dict, warnings_list: list[str],
+                    wall_ms: float):
     envelope = {
         "tool": "permcover",
         "version": __version__,
-        "subcommand": subcommand,
+        "subcommand": config["subcommand"],
         "config": config,
         "execution": {
             "created_utc": datetime.now(timezone.utc).isoformat(),
             "wall_time_ms": wall_ms,
-            "workers": workers,
+            "workers": args.workers,
             "numpy": np.__version__,
         },
         "warnings": warnings_list,
@@ -103,31 +109,33 @@ def _write_envelope(args, out_path, subcommand: str, config: dict, payload: dict
     }
     # allow_nan=False: a NaN or Infinity is not JSON and must not reach a payload
     text = json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False)
-    _write_out(args, out_path, text + "\n")
-    return envelope
+    _write_out(args, text + "\n")
 
 
-def _write_csv(args, out_path, header: tuple[str, ...], rows: list[dict],
+def _write_csv(args, config: dict, header: tuple[str, ...], rows: list[dict],
                comments: list[str]):
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
+    """CSV led by a version line, the echoed config and ``comments``."""
+    lines = [
+        f"# permcover {__version__} {config['subcommand']}",
+        "# config: " + json.dumps(config, sort_keys=True, allow_nan=False),
+        *(f"# {c}" for c in comments),
+        ",".join(header),
+    ]
     for row in rows:
         lines.append(",".join(_csv_cell(row[col]) for col in header))
-    text = "\n".join(lines) + "\n"
-    _write_out(args, out_path, text)
-    return text
+    _write_out(args, "\n".join(lines) + "\n")
 
 
-def _write_out(args, out_path, text: str):
+def _write_out(args, text: str):
     """Write ``text`` to --out when given.  A path that cannot be written
     is a usage error (exit 2), reported on one line."""
-    if not out_path:
+    if not args.out:
         return
     try:
-        Path(out_path).write_text(text)
+        Path(args.out).write_text(text)
     except OSError as exc:
-        raise ValueError(f"cannot write --out {out_path}: {exc.strerror or exc}") from exc
-    _say(args, f"wrote {out_path}")
+        raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
+    _say(args, f"wrote {args.out}")
 
 
 def _csv_cell(value) -> str:
@@ -158,7 +166,6 @@ def _cmd_solve(args) -> int:
 
     t0 = time.perf_counter()
     g = build_graph(args.n, max_n=args.max_n)
-    cache_dir = _resolve_cache_dir(args)
     notes: list[str] = []
 
     # A request with its own initial size neither reads nor writes the
@@ -169,10 +176,10 @@ def _cmd_solve(args) -> int:
     if use_cache:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            cert = load_certificate(cache_dir, g, lam, method, seed)
+            cert = load_certificate(args.cache_dir, g, lam, method, seed)
         notes.extend(str(w.message) for w in caught)
         if cert is not None:
-            _say(args, f"cache hit: {cache_dir}")
+            _say(args, f"cache hit: {args.cache_dir}")
 
     if cert is None:
         if method == "exact":
@@ -189,7 +196,7 @@ def _cmd_solve(args) -> int:
         # A timed-out exact search would make the stored result depend on
         # the budget, so only a completed one is kept.
         if use_cache and (method != "exact" or cert.optimal):
-            store_certificate(cache_dir, cert)
+            store_certificate(args.cache_dir, cert)
         deficient = len(verify_cover(g, cert.selected, lam).deficiencies)
     verified = deficient == 0
     wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -205,8 +212,7 @@ def _cmd_solve(args) -> int:
     }
     payload = cert.to_json_dict()
     payload["verified"] = verified
-    _write_envelope(args, args.out, "solve", config, payload, notes, wall_ms,
-                    _resolve_workers(args))
+    _write_envelope(args, config, payload, notes, wall_ms)
     _say(
         args,
         f"solve n={cert.n} lambda={cert.lam} method={cert.method}: size={cert.size} "
@@ -243,8 +249,7 @@ def _cmd_graph(args) -> int:
         "n": args.n,
         "audit": args.audit,
     }
-    _write_envelope(args, args.out, "graph", config, payload, [], wall_ms,
-                    _resolve_workers(args))
+    _write_envelope(args, config, payload, [], wall_ms)
     if args.audit:
         _say(
             args,
@@ -268,7 +273,7 @@ def _cmd_threshold(args) -> int:
         args.trials,
         args.seed,
         omega_ref=args.omega,
-        workers=_resolve_workers(args),
+        workers=args.workers,
     )
     wall_ms = (time.perf_counter() - t0) * 1000.0
     config = {
@@ -282,12 +287,10 @@ def _cmd_threshold(args) -> int:
         "omega": args.omega,
     }
     comments = [
-        f"permcover {__version__} threshold",
-        "config: " + json.dumps(config, sort_keys=True),
         f"p_zero(omega={args.omega})={_csv_cell(report.p_zero)}",
         f"p_one(omega={args.omega})={_csv_cell(report.p_one)}",
     ]
-    _write_csv(args, args.out, report.CSV_COLUMNS, report.to_rows(), comments)
+    _write_csv(args, config, report.CSV_COLUMNS, report.to_rows(), comments)
     boundaries = (
         f"; boundaries p_zero={report.p_zero:.6f} p_one={report.p_one:.6f}"
         if report.p_zero is not None
@@ -320,7 +323,7 @@ def _cmd_gap(args) -> int:
         args.trials,
         args.seed,
         K_nominal=k_nominal,
-        workers=_resolve_workers(args),
+        workers=args.workers,
     )
     wall_ms = (time.perf_counter() - t0) * 1000.0
     config = {
@@ -332,8 +335,7 @@ def _cmd_gap(args) -> int:
         "trials": args.trials,
         "seed": args.seed,
     }
-    _write_envelope(args, args.out, "gap", config, report.to_payload(),
-                    report.warnings, wall_ms, _resolve_workers(args))
+    _write_envelope(args, config, report.to_payload(), report.warnings, wall_ms)
     _say(
         args,
         f"gap n={g.n} p={p:.6f}: lambda_exact={report.lambda_exact:.4f} "
@@ -347,11 +349,10 @@ def _cmd_bounds(args) -> int:
     if args.n_max < args.n_min:
         raise ValueError("--n-min..--n-max must be a non-empty range")
     t0 = time.perf_counter()
-    cache_dir = _resolve_cache_dir(args)
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         table = BoundTable.evaluate(n, args.lam)
-        known = best_known_size(cache_dir, n, args.lam, max_n=args.max_n)
+        known = best_known_size(args.cache_dir, n, args.lam, max_n=args.max_n)
         rows.append(
             {
                 "n": n,
@@ -371,21 +372,8 @@ def _cmd_bounds(args) -> int:
         "n_max": args.n_max,
         "lambda": args.lam,
     }
-    header = (
-        "n",
-        "lambda",
-        "pigeonhole_lower",
-        "alteration_upper",
-        "alteration_upper_n2",
-        "multicover_upper",
-        "best_known_size",
-        "best_known_status",
-    )
-    comments = [
-        f"permcover {__version__} bounds",
-        "config: " + json.dumps(config, sort_keys=True),
-    ]
-    _write_csv(args, args.out, header, rows, comments)
+    # the columns are the row keys in order; the range checked above is non-empty
+    _write_csv(args, config, tuple(rows[0]), rows, [])
     for row in rows:
         _say(
             args,
@@ -417,12 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"permcover {__version__}")
     parser.add_argument("--quiet", action="store_true", help="suppress the stdout summary")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker threads for Monte Carlo (default: PERMCOVER_WORKERS or 1)")
-    parser.add_argument("--cache-dir", default=None,
+    parser.add_argument("--workers", type=_workers, default=_env("PERMCOVER_WORKERS", 1),
+                        help="worker threads for Monte Carlo, >= 1 (default: PERMCOVER_WORKERS or 1)")
+    parser.add_argument("--cache-dir", default=_env("PERMCOVER_CACHE", DEFAULT_CACHE_DIR),
                         help="certificate cache directory (default: PERMCOVER_CACHE or ./permcover-cache)")
-    parser.add_argument("--max-n", type=int, default=None,
-                        help="override the enumeration limit (default: PERMCOVER_MAX_N or 8)")
+    parser.add_argument("--max-n", type=int, default=_env("PERMCOVER_MAX_N", DEFAULT_MAX_N),
+                        help=f"enumeration limit (default: PERMCOVER_MAX_N or {DEFAULT_MAX_N})")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     solve = sub.add_parser("solve", help="build or prove a cover certificate")
@@ -430,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--lambda", dest="lam", type=int, default=1)
     solve.add_argument("--method", choices=METHODS, required=True)
     solve.add_argument("--seed", type=int, default=None)
-    solve.add_argument("--budget", type=_budget, default=60.0,
+    solve.add_argument("--budget", type=_positive_finite("time_budget"), default=60.0,
                        help="time budget in seconds for --method exact")
     solve.add_argument("--initial-size", type=int, default=None,
                        help="override the randomized constructions' initial sample size")
@@ -445,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     lam.add_argument("--initial-size", type=int, default=None)
     lam.add_argument("--no-cache", action="store_true")
     lam.add_argument("--out", default=None)
-    lam.set_defaults(handler=_cmd_solve, method="lambda", budget=60.0)
+    lam.set_defaults(handler=_cmd_solve, method="lambda")
 
     graph = sub.add_parser("graph", help="build the coverage graph and audit it")
     graph.add_argument("--n", type=int, required=True)
@@ -462,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     threshold.add_argument("--steps", type=int, required=True)
     threshold.add_argument("--trials", type=int, required=True)
     threshold.add_argument("--seed", type=int, required=True)
-    threshold.add_argument("--omega", type=float, default=2.0,
+    threshold.add_argument("--omega", type=_positive_finite("omega"), default=2.0,
                            help="slack for the annotated analytic boundaries")
     threshold.add_argument("--out", default=None, help="write the sweep CSV here")
     threshold.set_defaults(handler=_cmd_threshold)

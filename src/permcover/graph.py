@@ -18,7 +18,6 @@ has exactly n^2+1 covers.
 from __future__ import annotations
 
 import dataclasses
-import os
 from math import factorial
 from typing import NamedTuple
 
@@ -36,15 +35,8 @@ DEFAULT_MAX_N = 8
 Memory and build time grow like (n+1)! * (n+1); n=8, all 362880
 permutations of length 9, builds in ~0.2 s at a ~112 MB peak (Python 3.11,
 numpy 2.4, 2 cores), and the pair statistics do not raise it.  Override
-with PERMCOVER_MAX_N or ``max_n``.
+with build_graph's ``max_n`` (the CLI's --max-n or PERMCOVER_MAX_N).
 """
-
-
-def max_enumeration_n() -> int:
-    env = os.environ.get("PERMCOVER_MAX_N", "").strip()
-    if env:
-        return int(env)
-    return DEFAULT_MAX_N
 
 
 def covers_per_pattern(n: int) -> int:
@@ -148,19 +140,18 @@ def selection_flags(g: CoverageGraph, sel) -> np.ndarray:
     return flags
 
 
-def build_graph(n: int, *, max_n: int | None = None) -> CoverageGraph:
+def build_graph(n: int, *, max_n: int = DEFAULT_MAX_N) -> CoverageGraph:
     """Materialize the coverage graph for S_n vs S_{n+1}.
 
-    Raises ResourceLimitError above the configured enumeration maximum
-    (default 8, env PERMCOVER_MAX_N).
+    Raises ResourceLimitError when n exceeds ``max_n``; no environment
+    variable is read.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    limit = max_n if max_n is not None else max_enumeration_n()
-    if n > limit:
+    if n > max_n:
         raise ResourceLimitError(
-            f"n={n} exceeds the enumeration limit {limit} "
-            "(raise via PERMCOVER_MAX_N or the max_n argument)"
+            f"n={n} exceeds the enumeration limit {max_n} "
+            "(raise with max_n=, or --max-n / PERMCOVER_MAX_N on the command line)"
         )
 
     perms_next, dels = _kernels.perms_and_deletions(n + 1)

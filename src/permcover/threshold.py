@@ -21,9 +21,10 @@ a property test.
 from __future__ import annotations
 
 import dataclasses
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from math import exp, factorial, lgamma, log, log1p, sqrt, pi
+from math import exp, factorial, inf, lgamma, log, log1p, sqrt, pi
 
 import numpy as np
 
@@ -148,12 +149,13 @@ def threshold_boundaries(n: int, omega: float) -> tuple[float, float]:
     """Analytic (non-coverage, coverage) boundary selection probabilities.
 
     Below p_zero the random ensemble asymptotically fails to cover; above
-    p_one it asymptotically covers.  omega > 0 is the diverging slack.
+    p_one it asymptotically covers.  omega, positive and finite, is the
+    diverging slack.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if not omega > 0:  # also rejects NaN
-        raise ValueError("omega must be positive")
+    if not 0 < omega < inf:  # also rejects NaN
+        raise ValueError(f"omega must be positive and finite, got {omega}")
     ln = log(n)
     p_zero = (ln - 1.0 + 0.5 * ln / n - omega / n) / n
     p_one = ln / n - 1.0 / n + ln / (2.0 * n * n) + omega / (n * n)
@@ -199,36 +201,51 @@ def p_for_mean(n: int, mean_target: float) -> float:
 # Distribution helpers
 
 
+def _poisson_start(lam: float) -> tuple[int, float]:
+    """The first k whose Poisson term is a normal double, and that term;
+    exp(-lam) underflows above lam ~ 708, so the search is in log space."""
+    term = exp(-lam)
+    k = 0
+    while term < sys.float_info.min:
+        k += 1
+        term = exp(k * log(lam) - lam - lgamma(k + 1))
+    return k, term
+
+
 def poisson_pmf(lam: float, k_max: int) -> tuple[np.ndarray, float]:
     """Poisson probabilities for k = 0..k_max plus the truncated tail mass.
 
-    Stable multiplicative recurrence; no renormalization (the discarded
-    tail is returned so callers can account for it).
+    Stable multiplicative recurrence from the first normal term (earlier
+    terms are 0); no renormalization (the discarded tail is returned so
+    callers can account for it).
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     out = np.zeros(k_max + 1, dtype=float)
-    out[0] = exp(-lam)
-    for k in range(1, k_max + 1):
-        out[k] = out[k - 1] * lam / k
+    k0, term = _poisson_start(lam)
+    for k in range(k0, k_max + 1):
+        out[k] = term
+        term = term * lam / (k + 1)
     return out, max(0.0, 1.0 - float(out.sum()))
 
 
 def poisson_k_max(lam: float, tail_tol: float = 1e-12) -> int:
-    """Smallest k_max whose truncated Poisson tail is below tail_tol."""
+    """Smallest k_max whose truncated Poisson tail is below tail_tol.
+
+    Past the mode the tail is also bounded by term * lam / (k + 1 - lam),
+    since at large lam the summed terms' rounding can exceed tail_tol."""
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    term = exp(-lam)
+    k, term = _poisson_start(lam)
     cum = term
-    k = 0
     while 1.0 - cum > tail_tol:
+        if k + 1 > lam and term * lam / (k + 1 - lam) <= tail_tol:
+            break
         k += 1
         term *= lam / k
         cum += term
-        if k > 10 * (lam + 50):  # pragma: no cover - unreachable safety stop
-            break
     return k
 
 

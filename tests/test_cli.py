@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
+import permcover
 import permcover.cache as cache
 import permcover.cli as cli
 from permcover.cli import dispatch
@@ -259,6 +260,40 @@ class TestDispatch:
         assert not out.exists()
         assert "omega must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", ["1", "3"])
+    def test_inf_omega_is_a_usage_error(self, tmp_path, capsys, n):
+        # an infinite slack sends both boundaries to infinity; at n = 1 no
+        # boundary is computed, so only the parser can reject it
+        out = tmp_path / "sweep.csv"
+        code = run(
+            tmp_path, "threshold", "--n", n, "--pmin", "0.1", "--pmax", "0.5",
+            "--steps", "2", "--trials", "8", "--seed", "0", "--omega", "inf",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
+        assert "omega must be positive" in capsys.readouterr().err
+
+    def test_threshold_csv_comment_lines(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run(tmp_path, "threshold", "--n", "3", "--pmin", "0.1", "--pmax", "0.5",
+                   "--steps", "2", "--trials", "8", "--seed", "0", "--out", str(out)) == 0
+        assert out.read_text().splitlines()[:2] == [
+            f"# permcover {permcover.__version__} threshold",
+            '# config: {"n": 3, "omega": 2.0, "pmax": 0.5, "pmin": 0.1, "seed": 0, '
+            '"steps": 2, "subcommand": "threshold", "trials": 8}',
+        ]
+
+    def test_bounds_csv_comment_lines(self, tmp_path):
+        out = tmp_path / "bounds.csv"
+        assert run(tmp_path, "bounds", "--n-max", "3", "--lambda", "2", "--out", str(out)) == 0
+        assert out.read_text().splitlines()[:3] == [
+            f"# permcover {permcover.__version__} bounds",
+            '# config: {"lambda": 2, "n_max": 3, "n_min": 1, "subcommand": "bounds"}',
+            "n,lambda,pigeonhole_lower,alteration_upper,alteration_upper_n2,"
+            "multicover_upper,best_known_size,best_known_status",
+        ]
+
     def test_resource_limit_exit(self, tmp_path):
         assert run(tmp_path, "graph", "--n", "9") == 3
 
@@ -435,6 +470,71 @@ def solve_payload(tmp_path, name, *argv):
     out = tmp_path / f"{name}.json"
     code = run(tmp_path, "--quiet", "solve", *argv, "--out", str(out))
     return code, json.loads(out.read_text())
+
+
+def no_graph(*args, **kwargs):
+    raise AssertionError("a graph was built before the settings were checked")
+
+
+class TestSettings:
+    """--workers, --cache-dir and --max-n are resolved, flag over
+    environment over default, when the arguments are parsed."""
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--n", "6", "--method", "greedy"),
+        ("graph", "--n", "6", "--audit"),
+    ], ids=["solve", "graph-audit"])
+    def test_bad_workers_variable_fails_before_any_work(self, tmp_path, monkeypatch,
+                                                        capsys, argv):
+        monkeypatch.setenv("PERMCOVER_WORKERS", "abc")
+        monkeypatch.setattr(cli, "build_graph", no_graph)
+        out = tmp_path / "x.json"
+        assert run(tmp_path, *argv, "--out", str(out)) == 2
+        assert not out.exists()
+        assert not (tmp_path / "cache").exists()
+        assert "workers must be an integer >= 1, got 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                workers):
+        monkeypatch.setattr(cli, "build_graph", no_graph)
+        out = tmp_path / "x.json"
+        assert run(tmp_path, "--workers", workers, "graph", "--n", "3",
+                   "--out", str(out)) == 2
+        assert not out.exists()
+        assert "workers must be an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("env, flag, expected", [
+        (None, None, 1),
+        ("3", None, 3),
+        (" 4 ", None, 4),
+        ("", None, 1),
+        ("3", "2", 2),
+        ("abc", "2", 2),
+    ])
+    def test_execution_workers(self, tmp_path, monkeypatch, env, flag, expected):
+        if env is None:
+            monkeypatch.delenv("PERMCOVER_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("PERMCOVER_WORKERS", env)
+        out = tmp_path / "g.json"
+        flags = () if flag is None else ("--workers", flag)
+        assert run(tmp_path, *flags, "graph", "--n", "2", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["execution"]["workers"] == expected
+
+    def test_cache_variable_and_flag(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PERMCOVER_CACHE", str(tmp_path / "env"))
+        argv = ("--quiet", "solve", "--n", "3", "--method", "greedy")
+        assert dispatch(list(argv)) == 0
+        assert (tmp_path / "env" / "3-1-greedy-none.json").exists()
+        assert dispatch(["--cache-dir", str(tmp_path / "flag"), *argv]) == 0
+        assert (tmp_path / "flag" / "3-1-greedy-none.json").exists()
+
+    def test_bad_max_n_variable_fails_before_any_work(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PERMCOVER_MAX_N", "eight")
+        monkeypatch.setattr(cli, "build_graph", no_graph)
+        assert run(tmp_path, "gap", "--n", "3", "--K", "0", "--trials", "8",
+                   "--seed", "0") == 2
 
 
 def entry(tmp_path, key):

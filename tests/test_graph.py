@@ -111,6 +111,14 @@ class TestBuild:
         with pytest.raises(ResourceLimitError, match="limit 3"):
             build_graph(4, max_n=3)
 
+    def test_build_reads_no_environment(self, monkeypatch):
+        # the enumeration limit is an argument; PERMCOVER_MAX_N is the CLI's
+        monkeypatch.setenv("PERMCOVER_MAX_N", "2")
+        assert build_graph(3).n == 3
+        monkeypatch.setenv("PERMCOVER_MAX_N", "20")
+        with pytest.raises(ResourceLimitError, match="limit 8"):
+            build_graph(9)
+
     @pytest.mark.parametrize("length", range(1, 8))
     def test_perms_and_deletions_match_itertools(self, length):
         smaller = {p: i for i, p in enumerate(itertools.permutations(range(1, length)))}

@@ -17,3 +17,10 @@ def test_runtime_dependencies_are_numpy_only():
     deps = tomllib.loads(path.read_text())["project"]["dependencies"]
     names = [re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower() for d in deps]
     assert names == ["numpy"]
+
+
+def test_only_the_cli_reads_the_environment():
+    # run settings are resolved once, when the CLI parses its arguments
+    src = Path(__file__).resolve().parents[1] / "src" / "permcover"
+    readers = sorted(path.name for path in src.glob("*.py") if "os.environ" in path.read_text())
+    assert readers == ["cli.py"]

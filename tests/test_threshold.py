@@ -1,5 +1,5 @@
 import itertools
-from math import exp, factorial, log, sqrt
+from math import exp, factorial, inf, lgamma, log, nan, sqrt
 
 import numpy as np
 import pytest
@@ -40,6 +40,11 @@ def exhaustive_law(g, p):
         k = int(sel.sum())
         pmf[x] = pmf.get(x, 0.0) + p**k * (1 - p) ** (m - k)
     return pmf
+
+
+def lgamma_poisson(lam, k_max):
+    """Poisson terms for k = 0..k_max, each from its own log."""
+    return np.array([exp(k * log(lam) - lam - lgamma(k + 1)) for k in range(k_max + 1)])
 
 
 class TestTrialRng:
@@ -290,6 +295,11 @@ class TestAnalyticThresholds:
         with pytest.raises(ValueError):
             threshold_boundaries(7, 0.0)
 
+    @pytest.mark.parametrize("omega", [inf, nan, -1.0])
+    def test_boundaries_need_a_positive_finite_omega(self, omega):
+        with pytest.raises(ValueError, match="omega must be positive"):
+            threshold_boundaries(7, omega)
+
     def test_critical_window_examples(self):
         assert critical_window_p(7, 0.0) == pytest.approx(0.15498624730438468, rel=1e-12)
         assert critical_window_p(8, 0.0) == pytest.approx(0.15117582975435317, rel=1e-12)
@@ -337,6 +347,19 @@ class TestDistributionHelpers:
         pmf, tail = poisson_pmf(lam, k_max)
         assert tail < 1e-12
         assert float(pmf.sum()) + tail == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("lam", [1.0, 700.0, 745.0, 800.0, 5000.0])
+    def test_poisson_matches_log_space_terms(self, lam):
+        # above lam ~ 708 exp(-lam) underflows; the reference must not
+        k_max = poisson_k_max(lam)
+        assert k_max < lam + 20 * sqrt(lam) + 50  # not the safety stop
+        pmf, tail = poisson_pmf(lam, k_max)
+        ref = lgamma_poisson(lam, k_max)
+        np.testing.assert_allclose(pmf, ref, rtol=1e-9, atol=1e-300)
+        assert tail == pytest.approx(max(0.0, 1.0 - float(ref.sum())), abs=1e-9)
+        assert tail < 1e-11
+        assert float(pmf.sum()) + tail == pytest.approx(1.0, abs=1e-11)
+        assert float(np.arange(k_max + 1) @ pmf) == pytest.approx(lam, rel=1e-9)
 
     def test_tv_examples(self):
         assert tv_distance({0: 1.0}, {0: 1.0}) == 0.0
@@ -447,6 +470,20 @@ class TestSweep:
 
 
 class TestGapExperiment:
+    def test_tv_at_a_mean_beyond_exp_underflow(self, graph):
+        # lambda = 5040 (1 - 1e-4)^50 ~ 5014.9, where exp(-lambda) is 0
+        g = graph(7)
+        report = gap_experiment(g, 1e-4, 1000, master_seed=0)
+        lam = report.lambda_exact
+        assert lam == pytest.approx(5014.86, abs=0.01)
+        ref = lgamma_poisson(lam, int(lam + 40 * sqrt(lam)))
+        emp = np.zeros(ref.size)
+        for k, v in report.empirical_pmf.items():
+            emp[k] = v
+        expected = 0.5 * float(np.abs(emp - ref).sum()) + 0.5 * (1.0 - float(ref.sum()))
+        assert report.tv_to_poisson == pytest.approx(expected, abs=1e-9)
+        assert 0.5 < report.tv_to_poisson < 0.9
+
     def test_full_selection_is_delta_zero(self, graph):
         report = gap_experiment(graph(3), 1.0, 1500, master_seed=0)
         assert report.empirical_pmf == {0: 1.0}
