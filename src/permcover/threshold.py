@@ -202,14 +202,27 @@ def p_for_mean(n: int, mean_target: float) -> float:
 
 
 def _poisson_start(lam: float) -> tuple[int, float]:
-    """The first k whose Poisson term is a normal double, and that term;
-    exp(-lam) underflows above lam ~ 708, so the search is in log space."""
+    """The first k whose Poisson term is a normal double, and that term.
+
+    exp(-lam) underflows above lam ~ 708; then the start is found by
+    bisection in log space, as the terms increase up to the mode floor(lam),
+    whose term is normal."""
     term = exp(-lam)
-    k = 0
-    while term < sys.float_info.min:
-        k += 1
-        term = exp(k * log(lam) - lam - lgamma(k + 1))
-    return k, term
+    if not term < sys.float_info.min:
+        return 0, term
+    log_lam = log(lam)
+
+    def term_at(k: int) -> float:
+        return exp(k * log_lam - lam - lgamma(k + 1))
+
+    lo, hi = 0, int(lam)  # term_at(lo) is subnormal, term_at(hi) is not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if term_at(mid) < sys.float_info.min:
+            lo = mid
+        else:
+            hi = mid
+    return hi, term_at(hi)
 
 
 def poisson_pmf(lam: float, k_max: int) -> tuple[np.ndarray, float]:

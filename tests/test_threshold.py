@@ -361,6 +361,21 @@ class TestDistributionHelpers:
         assert float(pmf.sum()) + tail == pytest.approx(1.0, abs=1e-11)
         assert float(np.arange(k_max + 1) @ pmf) == pytest.approx(lam, rel=1e-9)
 
+    def test_poisson_start_far_beyond_k_max(self, monkeypatch):
+        # every term up to k_max underflows; the start search must not walk
+        # to the mode one term at a time
+        calls = []
+
+        def counting_lgamma(x):
+            calls.append(x)
+            return lgamma(x)
+
+        monkeypatch.setattr(threshold, "lgamma", counting_lgamma)
+        pmf, tail = poisson_pmf(1e7, 10)
+        assert pmf.tolist() == [0.0] * 11
+        assert tail == 1.0
+        assert len(calls) < 64
+
     def test_tv_examples(self):
         assert tv_distance({0: 1.0}, {0: 1.0}) == 0.0
         assert tv_distance({0: 1.0}, {1: 1.0}) == 1.0
