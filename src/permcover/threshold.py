@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import sys
 import warnings
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from math import exp, factorial, inf, lgamma, log, log1p, sqrt, pi
 
@@ -202,27 +203,16 @@ def p_for_mean(n: int, mean_target: float) -> float:
 
 
 def _poisson_start(lam: float) -> tuple[int, float]:
-    """The first k whose Poisson term is a normal double, and that term.
+    """The first k whose Poisson term is a normal double, and that term, by bisection
+    in log space: exp(-lam) underflows above lam ~ 708, and terms rise to k = floor(lam)."""
+    if not exp(-lam) < sys.float_info.min:
+        return 0, exp(-lam)
 
-    exp(-lam) underflows above lam ~ 708; then the start is found by
-    bisection in log space, as the terms increase up to the mode floor(lam),
-    whose term is normal."""
-    term = exp(-lam)
-    if not term < sys.float_info.min:
-        return 0, term
-    log_lam = log(lam)
+    def term(k: int) -> float:
+        return exp(k * log(lam) - lam - lgamma(k + 1))
 
-    def term_at(k: int) -> float:
-        return exp(k * log_lam - lam - lgamma(k + 1))
-
-    lo, hi = 0, int(lam)  # term_at(lo) is subnormal, term_at(hi) is not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if term_at(mid) < sys.float_info.min:
-            lo = mid
-        else:
-            hi = mid
-    return hi, term_at(hi)
+    k = bisect_left(range(int(lam) + 1), True, key=lambda k: term(k) >= sys.float_info.min)
+    return k, term(k)
 
 
 def poisson_pmf(lam: float, k_max: int) -> tuple[np.ndarray, float]:
