@@ -55,7 +55,6 @@ from .threshold import (
     exact_mean,
     exact_variance,
     gap_experiment,
-    mc_cover_probability,
     p_for_mean,
     poisson_pmf,
     sample_selection,
@@ -95,7 +94,6 @@ __all__ = [
     "gap_experiment",
     "greedy_cover",
     "lambda_cover",
-    "mc_cover_probability",
     "multicover_upper_bound",
     "p_for_mean",
     "parse_perm",

@@ -42,6 +42,7 @@ from .cover import (
     METHODS,
     BoundTable,
     alteration_cover,
+    check_lam,
     exact_min_cover,
     greedy_cover,
     lambda_cover,
@@ -57,14 +58,34 @@ from .threshold import (
 )
 
 
+class _EnvText(str):
+    """A flag's default read from an environment variable that ``source`` names."""
+
+
 def _env(name: str, default):
     """A flag's default: the variable's text when set, else ``default``.
 
     argparse passes a text default through the flag's ``type`` only when
     the flag is absent, so a flag wins over a bad variable."""
-    return os.environ.get(name, "").strip() or default
+    text = _EnvText(os.environ.get(name, "").strip())
+    text.source = f" (from {name})"
+    return text or default
 
 
+def _typed(convert):
+    """argparse type ``convert``, naming the variable a bad value came from."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except argparse.ArgumentTypeError as exc:
+            message = str(exc)
+        except ValueError:  # worded as argparse words it
+            message = f"invalid {convert.__name__} value: {text!r}"
+        raise argparse.ArgumentTypeError(message + getattr(text, "source", ""))
+    return parse
+
+
+@_typed
 def _workers(text: str) -> int:
     """argparse type for --workers: an integer >= 1."""
     try:
@@ -112,17 +133,17 @@ def _write_envelope(args, config: dict, payload: dict, warnings_list: list[str],
     _write_out(args, text + "\n")
 
 
-def _write_csv(args, config: dict, header: tuple[str, ...], rows: list[dict],
-               comments: list[str]):
-    """CSV led by a version line, the echoed config and ``comments``."""
+def _write_csv(args, config: dict, rows: list[dict], comments: list[str]):
+    """CSV led by a version line, the echoed config and ``comments``; the
+    columns are the keys of the first of the (non-empty) ``rows``, in order."""
     lines = [
         f"# permcover {__version__} {config['subcommand']}",
         "# config: " + json.dumps(config, sort_keys=True, allow_nan=False),
         *(f"# {c}" for c in comments),
-        ",".join(header),
+        ",".join(rows[0]),
     ]
     for row in rows:
-        lines.append(",".join(_csv_cell(row[col]) for col in header))
+        lines.append(",".join(_csv_cell(row[col]) for col in rows[0]))
     _write_out(args, "\n".join(lines) + "\n")
 
 
@@ -156,6 +177,10 @@ def _cmd_solve(args) -> int:
     if method == "lambda" and lam < 2:
         print("solve --method lambda requires --lambda >= 2", file=sys.stderr)
         return 2
+    if method == "alteration" and lam != 1:
+        print("alteration builds multiplicity-1 covers", file=sys.stderr)
+        return 2
+    check_lam(args.n, lam)
     if method in ("alteration", "lambda") and args.seed is None:
         print(f"--method {method} requires --seed", file=sys.stderr)
         return 2
@@ -187,9 +212,6 @@ def _cmd_solve(args) -> int:
         elif method == "greedy":
             cert = greedy_cover(g, lam)
         elif method == "alteration":
-            if lam != 1:
-                print("alteration builds multiplicity-1 covers", file=sys.stderr)
-                return 2
             cert = alteration_cover(g, seed, initial_size=args.initial_size)
         else:
             cert = lambda_cover(g, lam, seed, draws=args.initial_size)
@@ -290,7 +312,7 @@ def _cmd_threshold(args) -> int:
         f"p_zero(omega={args.omega})={_csv_cell(report.p_zero)}",
         f"p_one(omega={args.omega})={_csv_cell(report.p_one)}",
     ]
-    _write_csv(args, config, report.CSV_COLUMNS, report.to_rows(), comments)
+    _write_csv(args, config, report.rows, comments)
     boundaries = (
         f"; boundaries p_zero={report.p_zero:.6f} p_one={report.p_one:.6f}"
         if report.p_zero is not None
@@ -299,7 +321,7 @@ def _cmd_threshold(args) -> int:
     _say(
         args,
         f"threshold n={g.n}: {args.steps} points x {args.trials} trials; "
-        f"phat {report.rows[0].phat:.4f} -> {report.rows[-1].phat:.4f}"
+        f"phat {report.rows[0]['phat']:.4f} -> {report.rows[-1]['phat']:.4f}"
         f"{boundaries} ({wall_ms:.0f} ms)",
     )
     return 0
@@ -372,8 +394,7 @@ def _cmd_bounds(args) -> int:
         "n_max": args.n_max,
         "lambda": args.lam,
     }
-    # the columns are the row keys in order; the range checked above is non-empty
-    _write_csv(args, config, tuple(rows[0]), rows, [])
+    _write_csv(args, config, rows, [])
     for row in rows:
         _say(
             args,
@@ -409,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker threads for Monte Carlo, >= 1 (default: PERMCOVER_WORKERS or 1)")
     parser.add_argument("--cache-dir", default=_env("PERMCOVER_CACHE", DEFAULT_CACHE_DIR),
                         help="certificate cache directory (default: PERMCOVER_CACHE or ./permcover-cache)")
-    parser.add_argument("--max-n", type=int, default=_env("PERMCOVER_MAX_N", DEFAULT_MAX_N),
+    parser.add_argument("--max-n", type=_typed(int),
+                        default=_env("PERMCOVER_MAX_N", DEFAULT_MAX_N),
                         help=f"enumeration limit (default: PERMCOVER_MAX_N or {DEFAULT_MAX_N})")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

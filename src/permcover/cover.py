@@ -213,19 +213,20 @@ def parse_selected(n: int, selected) -> tuple[int, ...]:
 
 def greedy_cover(g: CoverageGraph, lam: int = 1) -> CoverCertificate:
     """Deterministic max-residual-coverage greedy (ties to lowest rank)."""
-    _check_lam(g, lam)
+    check_lam(g.n, lam)
     picks, remaining = _kernels.greedy_select(g.pattern_rows, g.cover_ranks, lam)
     if remaining:
         raise RuntimeError("greedy could not complete the cover")  # unreachable for valid lam
     return CoverCertificate(g.n, lam, "greedy", tuple(sorted(int(r) for r in picks)))
 
 
-def _check_lam(g: CoverageGraph, lam: int):
+def check_lam(n: int, lam: int):
+    """Raise ValueError unless 1 <= lam <= n^2 + 1, the covers of one pattern."""
     if lam < 1:
         raise ValueError("lam must be >= 1")
-    if lam > covers_per_pattern(g.n):
+    if lam > covers_per_pattern(n):
         raise ValueError(
-            f"lam={lam} impossible: each pattern has only {covers_per_pattern(g.n)} covers"
+            f"lam={lam} impossible: each pattern has only {covers_per_pattern(n)} covers"
         )
 
 
@@ -278,7 +279,7 @@ def lambda_cover(
     """
     if lam < 2:
         raise ValueError("lambda_cover requires lam >= 2 (use alteration/greedy at lam=1)")
-    _check_lam(g, lam)
+    check_lam(g.n, lam)
     if g.n < 3:
         raise ValueError("lambda_cover requires n >= 3 (log log n must be positive)")
     y = multicover_default_draws(g.n, lam) if draws is None else int(draws)
@@ -314,7 +315,7 @@ def exact_min_cover(
     """
     if not time_budget > 0:  # also rejects NaN
         raise ValueError("time_budget must be positive")
-    _check_lam(g, lam)
+    check_lam(g.n, lam)
     deadline = time.perf_counter() + time_budget
 
     best = list(greedy_cover(g, lam).selected)

@@ -57,9 +57,7 @@ def trial_rng(master_seed: int, trial_index: int, stream: int = 0) -> np.random.
 
 
 def _selected_ranks(m: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """The distinct ranks in 0..m-1 one trial selects (empty if none)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
+    """The distinct ranks in 0..m-1 one trial selects (empty if none); callers check p."""
     k = int(rng.binomial(m, p))
     if not k:
         return np.empty(0, dtype=np.int64)
@@ -69,6 +67,8 @@ def _selected_ranks(m: int, p: float, rng: np.random.Generator) -> np.ndarray:
 def sample_selection(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     """One random selection over S_{n+1}, each rank kept with probability p,
     as the sorted selected ranks."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must be in [0, 1]")
     return np.sort(_selected_ranks(factorial(n + 1), p, rng))
 
 
@@ -313,9 +313,9 @@ def run_uncovered_counts(
     """Histogram of X over ``trials`` independent selections.
 
     Returns integer counts indexed by X value (length n!+1).  The result
-    depends only on (n, p, trials, master_seed, stream): chunking and
-    worker count never change which generator a trial uses, and the
-    histogram sum is order-insensitive.
+    depends only on (n, p, trials, master_seed, stream): chunks run on a
+    pool of ``workers`` threads, but never change which generator a trial
+    uses, and the histogram sum is order-insensitive.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -326,13 +326,10 @@ def run_uncovered_counts(
     spans = [
         (s, min(s + _CHUNK_TRIALS, trials)) for s in range(0, trials, _CHUNK_TRIALS)
     ]
-    if workers <= 1 or len(spans) == 1:
-        parts = [_run_chunk(g, p, master_seed, stream, a, b) for a, b in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(lambda ab: _run_chunk(g, p, master_seed, stream, *ab), spans)
-            )
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list(
+            pool.map(lambda ab: _run_chunk(g, p, master_seed, stream, *ab), spans)
+        )
     return np.sum(parts, axis=0)
 
 
@@ -342,56 +339,26 @@ def run_uncovered_counts(
 
 @dataclasses.dataclass
 class CoverProbability:
+    """P(a random selection covers S_n), with its Wilson 95% interval."""
+
     estimate: float
     ci_lo: float
     ci_hi: float
     covers: int
     trials: int
 
-
-def mc_cover_probability(
-    g: CoverageGraph,
-    p: float,
-    trials: int,
-    master_seed: int,
-    *,
-    stream: int = 0,
-    workers: int = 1,
-) -> CoverProbability:
-    """Monte Carlo estimate of P(random selection covers S_n), Wilson 95% CI."""
-    hist = run_uncovered_counts(
-        g, p, trials, master_seed, stream=stream, workers=workers
-    )
-    covers = int(hist[0])
-    lo, hi = wilson_interval(covers, trials)
-    return CoverProbability(covers / trials, lo, hi, covers, trials)
-
-
-@dataclasses.dataclass
-class SweepRow:
-    p: float
-    covers: int
-    trials: int
-    phat: float
-    ci_lo: float
-    ci_hi: float
-    lambda_exact: float
+    @classmethod
+    def from_histogram(cls, hist: np.ndarray) -> CoverProbability:
+        """The estimate from a histogram of X: the trials with X = 0 cover."""
+        covers, trials = int(hist[0]), int(hist.sum())
+        return cls(covers / trials, *wilson_interval(covers, trials), covers, trials)
 
 
 @dataclasses.dataclass
 class SweepReport:
-    n: int
-    trials: int
-    master_seed: int
-    rows: list[SweepRow]
-    omega_ref: float
+    rows: list[dict]  # one per grid point, keyed by CSV column
     p_zero: float | None
     p_one: float | None
-
-    CSV_COLUMNS = ("p", "covers", "trials", "phat", "ci_lo", "ci_hi", "lambda_exact")
-
-    def to_rows(self) -> list[dict]:
-        return [dataclasses.asdict(r) for r in self.rows]
 
 
 def threshold_sweep(
@@ -412,36 +379,28 @@ def threshold_sweep(
     grid = [float(p) for p in p_grid]
     if not grid or sorted(grid) != grid:
         raise ValueError("p_grid must be a non-empty ascending grid")
-    # checked before sampling, so a bad omega costs no trials
+    if not all(0.0 <= p <= 1.0 for p in grid):  # also rejects NaN
+        raise ValueError("p must be in [0, 1]")
+    # checked before sampling, so a bad grid or omega costs no trials
     if g.n >= 2:
         p_zero, p_one = threshold_boundaries(g.n, omega_ref)
     else:
         p_zero = p_one = None
     rows = []
     for i, p in enumerate(grid):
-        est = mc_cover_probability(
-            g, p, trials, master_seed, stream=i, workers=workers
+        est = CoverProbability.from_histogram(
+            run_uncovered_counts(g, p, trials, master_seed, stream=i, workers=workers)
         )
-        rows.append(
-            SweepRow(
-                p=p,
-                covers=est.covers,
-                trials=trials,
-                phat=est.estimate,
-                ci_lo=est.ci_lo,
-                ci_hi=est.ci_hi,
-                lambda_exact=exact_mean(g.n, p),
-            )
-        )
-    return SweepReport(
-        n=g.n,
-        trials=trials,
-        master_seed=master_seed,
-        rows=rows,
-        omega_ref=omega_ref,
-        p_zero=p_zero,
-        p_one=p_one,
-    )
+        rows.append({
+            "p": p,
+            "covers": est.covers,
+            "trials": est.trials,
+            "phat": est.estimate,
+            "ci_lo": est.ci_lo,
+            "ci_hi": est.ci_hi,
+            "lambda_exact": exact_mean(g.n, p),
+        })
+    return SweepReport(rows, p_zero, p_one)
 
 
 @dataclasses.dataclass
@@ -459,7 +418,7 @@ class GapReport:
     empirical_variance: float
     tv_to_poisson: float
     cover_probability: CoverProbability
-    stein_chen: float
+    stein_chen_bound: float
     stein_chen_raw: float
     exact_variance: float
     mean_ratio_decaying: float | None  # lambda_exact / (sqrt(2 pi) e^{-K})
@@ -467,25 +426,10 @@ class GapReport:
     warnings: list[str]
 
     def to_payload(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "K_nominal": self.K_nominal,
-            "lambda_exact": self.lambda_exact,
-            "empirical_pmf": {str(k): v for k, v in sorted(self.empirical_pmf.items())},
-            "empirical_mean": self.empirical_mean,
-            "empirical_variance": self.empirical_variance,
-            "tv_to_poisson": self.tv_to_poisson,
-            "cover_probability": dataclasses.asdict(self.cover_probability),
-            "stein_chen_bound": self.stein_chen,
-            "stein_chen_raw": self.stein_chen_raw,
-            "exact_variance": self.exact_variance,
-            "mean_ratio_decaying": self.mean_ratio_decaying,
-            "mean_ratio_growing": self.mean_ratio_growing,
-            "warnings": self.warnings,
-        }
+        """The fields by name, with the pmf keyed by strings as JSON requires."""
+        payload = dataclasses.asdict(self)
+        payload["empirical_pmf"] = {str(k): v for k, v in self.empirical_pmf.items()}
+        return payload
 
 
 def gap_experiment(
@@ -525,12 +469,7 @@ def gap_experiment(
     ref, tail = poisson_pmf(lam, k_max)
     tv = 0.5 * sum(abs(pmf.get(k, 0.0) - ref[k]) for k in range(k_max + 1)) + 0.5 * tail
 
-    covers = int(hist[0])
-    lo, hi = wilson_interval(covers, trials)
-    cover_prob = CoverProbability(covers / trials, lo, hi, covers, trials)
-
     raw = stein_chen_raw(g, p)
-    var_exact = exact_variance(g, p)
 
     if K_nominal is not None:
         base = sqrt(2.0 * pi)
@@ -550,10 +489,10 @@ def gap_experiment(
         empirical_mean=mean,
         empirical_variance=variance,
         tv_to_poisson=tv,
-        cover_probability=cover_prob,
-        stein_chen=max(0.0, raw),
+        cover_probability=CoverProbability.from_histogram(hist),
+        stein_chen_bound=max(0.0, raw),
         stein_chen_raw=raw,
-        exact_variance=var_exact,
+        exact_variance=exact_variance(g, p),
         mean_ratio_decaying=ratio_dec,
         mean_ratio_growing=ratio_gro,
         warnings=notes,

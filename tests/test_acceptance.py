@@ -373,13 +373,13 @@ def test_9_threshold_shape(sweep_n7):
     rows = rep.rows
     assert exact_mean(7, float(grid[0])) == pytest.approx(20.0, rel=1e-9)
     assert exact_mean(7, float(grid[-1])) == pytest.approx(0.05, rel=1e-9)
-    assert rows[0].phat <= 0.05, rows[0]
-    assert rows[-1].phat >= 0.95, rows[-1]
+    assert rows[0]["phat"] <= 0.05, rows[0]
+    assert rows[-1]["phat"] >= 0.95, rows[-1]
     for a, b in zip(rows, rows[1:]):
-        assert b.ci_hi >= a.ci_lo, (a, b)
+        assert b["ci_hi"] >= a["ci_lo"], (a, b)
     ok = report(9, "coverage probability transitions and is monotone up to CI overlap",
                 True,
-                f"phat: {rows[0].phat:.3f} -> {rows[-1].phat:.3f}, "
+                f"phat: {rows[0]['phat']:.3f} -> {rows[-1]['phat']:.3f}, "
                 f"{time.perf_counter() - t0:.1f}s")
     assert ok
 
@@ -428,7 +428,7 @@ def test_11_bit_identical_payloads_across_workers(graph, sweep_n7, gap_n7):
     # threshold sweep payload (criterion 9)
     grid, base_sweep = sweep_n7
     other = threshold_sweep(g7, grid, 2000, SWEEP_SEED, workers=3)
-    assert other.to_rows() == base_sweep.to_rows()
+    assert other.rows == base_sweep.rows
 
     # gap payload (criterion 10)
     p, base_gap = gap_n7

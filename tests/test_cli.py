@@ -118,6 +118,15 @@ class TestDispatch:
         assert doc["payload"]["stein_chen_bound"] >= 0
         assert not [w for w in doc["warnings"] if "pair budget" in w]
 
+    def test_gap_payload_keys_are_the_schema_properties(self, tmp_path):
+        # the payload is the report's fields: a field the schema does not
+        # name would leak into every payload
+        out = tmp_path / "gap.json"
+        assert run(tmp_path, "gap", "--n", "3", "--K=0", "--trials", "64", "--seed", "1",
+                   "--out", str(out)) == 0
+        payload = json.loads(out.read_text())["payload"]
+        assert set(payload) == set(schema("gap_report.schema.json").schema["properties"])
+
     def test_threshold_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = run(
@@ -314,6 +323,19 @@ class TestDispatch:
             argv = ("solve", "--n", "3", "--method", method, "--initial-size", "5")
             assert run(tmp_path, *argv) == 2
             assert "takes no --initial-size" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--method", "alteration", "--lambda", "2", "--seed", "1"),
+         "alteration builds multiplicity-1 covers"),
+        (("--method", "greedy", "--lambda", "0"), "lam must be >= 1"),
+        (("--method", "exact", "--lambda", "66"), "lam=66 impossible"),
+    ], ids=["alteration-lambda-2", "lambda-0", "lambda-above-n2-plus-1"])
+    def test_bad_lambda_fails_before_any_work(self, tmp_path, monkeypatch, capsys, argv,
+                                              message):
+        monkeypatch.setattr(cli, "build_graph", no_graph)
+        assert run(tmp_path, "solve", "--n", "8", *argv) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "cache").exists()
 
     def test_lambda_verb(self, tmp_path, capsys):
@@ -535,6 +557,22 @@ class TestSettings:
         monkeypatch.setattr(cli, "build_graph", no_graph)
         assert run(tmp_path, "gap", "--n", "3", "--K", "0", "--trials", "8",
                    "--seed", "0") == 2
+
+    @pytest.mark.parametrize("name, flag, text, expected", [
+        ("PERMCOVER_MAX_N", "--max-n", "eight", "invalid int value: 'eight'"),
+        ("PERMCOVER_WORKERS", "--workers", "abc", "workers must be an integer >= 1, got 'abc'"),
+    ], ids=["max-n", "workers"])
+    def test_bad_variable_is_named(self, tmp_path, monkeypatch, capsys, name, flag, text,
+                                   expected):
+        monkeypatch.setattr(cli, "build_graph", no_graph)
+        monkeypatch.setenv(name, text)
+        assert run(tmp_path, "graph", "--n", "3") == 2
+        assert f"argument {flag}: {expected} (from {name})" in capsys.readouterr().err
+        # a bad flag is the flag's own error, even with the variable set
+        monkeypatch.setenv(name, "5")
+        assert run(tmp_path, flag, text, "graph", "--n", "3") == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {expected}" in err and name not in err
 
 
 def entry(tmp_path, key):

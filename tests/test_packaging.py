@@ -24,3 +24,8 @@ def test_only_the_cli_reads_the_environment():
     src = Path(__file__).resolve().parents[1] / "src" / "permcover"
     readers = sorted(path.name for path in src.glob("*.py") if "os.environ" in path.read_text())
     assert readers == ["cli.py"]
+
+
+def test_every_export_resolves_once():
+    assert len(set(permcover.__all__)) == len(permcover.__all__)
+    assert [name for name in permcover.__all__ if not hasattr(permcover, name)] == []

@@ -8,12 +8,12 @@ from permcover import _kernels, threshold
 from permcover.cover import verify_cover
 from permcover.perms import Permutation, rank
 from permcover.threshold import (
+    CoverProbability,
     count_uncovered,
     critical_window_p,
     exact_mean,
     exact_variance,
     gap_experiment,
-    mc_cover_probability,
     p_for_mean,
     poisson_k_max,
     poisson_pmf,
@@ -399,16 +399,16 @@ class TestDistributionHelpers:
 class TestMonteCarlo:
     def test_cover_probability_degenerate(self, graph):
         g = graph(3)
-        full = mc_cover_probability(g, 1.0, 200, master_seed=0)
+        full = CoverProbability.from_histogram(run_uncovered_counts(g, 1.0, 200, master_seed=0))
         assert full.estimate == 1.0 and full.ci_hi == pytest.approx(1.0)
-        none = mc_cover_probability(g, 0.0, 200, master_seed=0)
+        none = CoverProbability.from_histogram(run_uncovered_counts(g, 0.0, 200, master_seed=0))
         assert none.estimate == 0.0
 
     def test_cover_probability_near_poisson_heuristic(self, graph):
         # P(cover) should sit near exp(-E[X]) when the mean is moderate
         g = graph(6)
         p = p_for_mean(6, 0.5)
-        est = mc_cover_probability(g, p, 10_000, master_seed=2)
+        est = CoverProbability.from_histogram(run_uncovered_counts(g, p, 10_000, master_seed=2))
         assert abs(est.estimate - exp(-0.5)) <= 0.10
 
     def test_per_pattern_uncovered_marginal(self, graph):
@@ -455,9 +455,9 @@ class TestMonteCarlo:
 class TestSweep:
     def test_degenerate_grid(self, graph):
         report = threshold_sweep(graph(3), [0.0, 1.0], 100, master_seed=0)
-        assert report.rows[0].phat == 0.0
-        assert report.rows[-1].phat == 1.0
-        assert report.rows[0].lambda_exact == 6.0
+        assert report.rows[0]["phat"] == 0.0
+        assert report.rows[-1]["phat"] == 1.0
+        assert report.rows[0]["lambda_exact"] == 6.0
 
     def test_unsorted_grid_rejected(self, graph):
         with pytest.raises(ValueError):
@@ -469,7 +469,7 @@ class TestSweep:
         grid = np.linspace(max(p_zero, 0.01), p_one, 9)
         report = threshold_sweep(g, grid, 500, master_seed=4)
         for a, b in zip(report.rows, report.rows[1:]):
-            assert b.ci_hi >= a.ci_lo
+            assert b["ci_hi"] >= a["ci_lo"]
 
     def test_omega_checked_before_sampling(self, graph, monkeypatch):
         def sample(*args, **kwargs):
@@ -478,6 +478,15 @@ class TestSweep:
         monkeypatch.setattr(threshold, "run_uncovered_counts", sample)
         with pytest.raises(ValueError, match="omega must be positive"):
             threshold_sweep(graph(3), [0.1, 0.2], 50, master_seed=0, omega_ref=0.0)
+
+    @pytest.mark.parametrize("grid", [[0.1, 1.5], [0.1, nan, 0.2]], ids=["above-1", "nan"])
+    def test_grid_checked_before_sampling(self, graph, monkeypatch, grid):
+        def sample(*args, **kwargs):
+            raise AssertionError("sampled before the grid was checked")
+
+        monkeypatch.setattr(threshold, "run_uncovered_counts", sample)
+        with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+            threshold_sweep(graph(3), grid, 50, master_seed=0)
 
     def test_boundaries_annotated(self, graph):
         report = threshold_sweep(graph(3), [0.1, 0.2], 50, master_seed=0)
