@@ -5,7 +5,9 @@ certificate document per file.  Stores are atomic (write to a temp file
 in the same directory, then rename).  A load reads only the entry's
 ``selected`` list, re-verifies it against a freshly built graph and
 derives everything else from the request, so a corrupt or tampered entry
-is either quarantined or has nothing left to claim.
+is either quarantined or has nothing left to claim.  An exact entry claims
+optimality, so it is kept only when the checked LP dual proves it: the
+dual's bound equals the cover's size.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from .cover import (
     parse_selected,
     verify_cover,
 )
+from .dual import checked_dual
 from .errors import ResourceLimitError
 from .graph import DEFAULT_MAX_N, CoverageGraph, build_graph
 
@@ -36,8 +39,15 @@ def certificate_path(cache_dir: str | Path, key: str) -> Path:
     return Path(cache_dir) / f"{key}.json"
 
 
-def store_certificate(cache_dir: str | Path, cert: CoverCertificate) -> Path:
-    """Atomically write the certificate under its key; returns the path."""
+def store_certificate(cache_dir: str | Path, cert: CoverCertificate) -> Path | None:
+    """Atomically write the certificate under its key; returns the path.
+
+    An exact result is written only when ``cert.certified``, so a timed-out
+    search, or an optimum the dual bound does not reach, is not kept
+    (returns None).
+    """
+    if cert.method == "exact" and not cert.certified:
+        return None
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     key = certificate_key(cert.n, cert.lam, cert.method, cert.seed)
@@ -76,11 +86,13 @@ def load_certificate(
     """Rebuild a cached certificate from the request and its re-verified
     ``selected``; None on a miss or a quarantined entry.
 
-    Only completed exact searches are stored, so the key makes an exact
-    entry optimal; one not marked "optimal" is an older version's
-    timed-out result.  Randomized entries hold the default initial size,
-    since requests that set their own bypass the cache.  Entries breaking
-    either rule are quarantined like unreadable or non-verifying ones.
+    An exact entry is served as optimal only when it is marked "optimal"
+    and the dual, checked against ``g``, gives a lower bound equal to its
+    size; anything else (an older version's timed-out result, or a
+    verifying cover that is not minimum) cannot prove its claim.
+    Randomized entries hold the default initial size, since requests that
+    set their own bypass the cache.  Entries breaking either rule are
+    quarantined like unreadable or non-verifying ones.
     """
     key = certificate_key(g.n, lam, method, seed)
     path = certificate_path(cache_dir, key)
@@ -105,6 +117,12 @@ def load_certificate(
     if not result.ok:
         _quarantine(path, f"{len(result.deficiencies)} deficient patterns")
         return None
+    if method == "exact":
+        bound = checked_dual(g).lower_bound(lam)
+        if bound != len(selected):
+            _quarantine(path, f"exact entry of size {len(selected)} is not certified "
+                              f"optimal: the dual bound is {bound}")
+            return None
     return CoverCertificate(g.n, lam, method, selected, seed, initial_size,
                             optimal=method == "exact")
 

@@ -215,9 +215,8 @@ def _cmd_solve(args) -> int:
             cert = alteration_cover(g, seed, initial_size=args.initial_size)
         else:
             cert = lambda_cover(g, lam, seed, draws=args.initial_size)
-        # A timed-out exact search would make the stored result depend on
-        # the budget, so only a completed one is kept.
-        if use_cache and (method != "exact" or cert.optimal):
+        # store_certificate keeps an exact result only when its dual proves it
+        if use_cache:
             store_certificate(args.cache_dir, cert)
         deficient = len(verify_cover(g, cert.selected, lam).deficiencies)
     verified = deficient == 0

@@ -19,6 +19,7 @@ from math import ceil, exp, factorial, lgamma, log
 import numpy as np
 
 from . import _kernels
+from .dual import checked_dual, shipped_dual
 from .graph import CoverageGraph, covers_per_pattern, selection_flags
 from .perms import Permutation, format_perm, rank, unrank
 
@@ -152,8 +153,9 @@ class CoverCertificate:
     """A selected subset of S_{n+1} with the request that produced it.
 
     Everything else is derived.  ``optimal`` is True only when the exact
-    search completed: status "optimal" with lower_bound == size.  Any
-    other cover is "feasible" with the pigeonhole lower bound.
+    search completed: status "optimal" with lower_bound == size, and the
+    serialized form carries the LP dual for n (``permcover.dual``).  Any other
+    cover is "feasible" with the pigeonhole lower bound.
     """
 
     n: int
@@ -176,6 +178,14 @@ class CoverCertificate:
     def lower_bound(self) -> int:
         return self.size if self.optimal else pigeonhole_lower_bound(self.n, self.lam)
 
+    @property
+    def certified(self) -> bool:
+        """Optimal, and the bound of the dual for n equals the size, so the
+        dual alone proves it.  The table is read, not checked, here: every
+        optimal certificate comes from a search or a cache load that checked
+        it against the graph."""
+        return self.optimal and shipped_dual(self.n).lower_bound(self.lam) == self.size
+
     def to_json_dict(self) -> dict:
         out = {
             "n": self.n,
@@ -189,6 +199,8 @@ class CoverCertificate:
         }
         if self.initial_size is not None:
             out["initial_size"] = self.initial_size
+        if self.optimal:
+            out["dual"] = shipped_dual(self.n).to_json_dict()
         return out
 
 
@@ -300,14 +312,23 @@ def exact_min_cover(
     """Branch-and-bound set multicover.
 
     Branches on the most-deficient lowest-rank pattern, trying each of its
-    unselected covers in rank order; prunes with
-    size + ceil(total deficiency / best residual gain) against the
-    incumbent (initially greedy).  The residual gains are kept
-    incrementally: choosing a cover subtracts one from every cover of each
-    pattern it brings to multiplicity lam, and backtracking adds it back,
-    so no node recounts the incidence.  Single-threaded and deterministic:
-    the proved optimal size never depends on timing, and the witness is the
-    deterministic first optimum found under this branching order.
+    unselected covers in rank order, against the incumbent (initially
+    greedy).  Two bounds prune a node: size + ceil(total deficiency / best
+    residual gain), and size + ceil(W / D) with W = sum_p w_p (lam -
+    count_p)^+ under the LP dual (w, D) of ``permcover.dual``, checked
+    against ``g``, since no cover can lower W by more than D.  The search
+    stops as soon as the incumbent meets the larger of the pigeonhole and
+    dual bounds, the latter ceil(lam sum(w) / D).
+    Neither bound cuts off a cover smaller than the incumbent, so the
+    incumbents, and the witness, are those an unpruned search finds.
+
+    The residual gains and W are kept incrementally: choosing a cover
+    subtracts one from every cover of each pattern it brings to
+    multiplicity lam and lowers W by the weights of the patterns it helps,
+    and backtracking undoes both, so no node recounts the incidence.
+    Single-threaded and deterministic: the proved optimal size never
+    depends on timing, and the witness is the deterministic first optimum
+    found under this branching order.
 
     Exhausting the search proves optimality (status "optimal", and
     lower_bound == size).  Running out of budget keeps the best incumbent
@@ -318,9 +339,11 @@ def exact_min_cover(
     check_lam(g.n, lam)
     deadline = time.perf_counter() + time_budget
 
+    dual = checked_dual(g)
+    weights, denominator = dual.weights, dual.denominator
     best = list(greedy_cover(g, lam).selected)
     best_size = len(best)
-    floor = pigeonhole_lower_bound(g.n, lam)
+    floor = max(pigeonhole_lower_bound(g.n, lam), dual.lower_bound(lam))
 
     cover_rows = g.cover_ranks
     n_covers = g.n_covers
@@ -334,7 +357,8 @@ def exact_min_cover(
     timed_out = False
     nodes = 0
 
-    def dfs(deficiency: int):
+    def dfs(deficiency: int, load: int):
+        # load is W, the weighted deficiency, in units of 1/denominator
         nonlocal best, best_size, timed_out, nodes
         if timed_out or best_size == floor:
             return
@@ -346,6 +370,8 @@ def exact_min_cover(
             if len(chosen) < best_size:
                 best = sorted(chosen)
                 best_size = len(best)
+            return
+        if len(chosen) + -(-load // denominator) >= best_size:
             return
         max_gain = int(gains.max())
         if max_gain <= 0:
@@ -361,20 +387,20 @@ def exact_min_cover(
             row = g.pattern_row(r)
             reached = counts[row] + 1
             counts[row] = reached
-            helped = int(np.count_nonzero(reached <= lam))
+            helped = row[reached <= lam]
             # patterns of one cover share covers: bincount keeps the repeats
             delta = np.bincount(cover_rows[row[reached == lam]].ravel(), minlength=n_covers)
             delta[r] += chosen_offset
             np.subtract(gains, delta, out=gains)
             chosen.append(r)
-            dfs(deficiency - helped)
+            dfs(deficiency - helped.size, load - int(weights[helped].sum()))
             chosen.pop()
             np.add(gains, delta, out=gains)
             counts[row] = reached - 1
             if timed_out:
                 return
 
-    dfs(g.n_patterns * lam)
+    dfs(g.n_patterns * lam, lam * int(weights.sum()))
 
     return CoverCertificate(g.n, lam, "exact", tuple(best), optimal=not timed_out)
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import threading
 import warnings
@@ -12,6 +13,7 @@ import permcover.cache as cache
 import permcover.cli as cli
 from permcover.cli import dispatch
 from permcover.cover import (
+    CoverCertificate,
     alteration_cover,
     alteration_default_initial_size,
     exact_min_cover,
@@ -42,6 +44,21 @@ class TestDispatch:
         assert doc["payload"]["status"] == "optimal"
         assert doc["execution"]["numpy"] == np.__version__
         assert "size=2" in capsys.readouterr().out
+
+    def test_exact_payload_dual_checks_by_hand(self, tmp_path):
+        # the README's check, from itertools alone: no cover of S_5 loads
+        # more than the denominator, and the bound it then gives is the size
+        out = tmp_path / "cert.json"
+        argv = ("--quiet", "solve", "--n", "4", "--method", "exact", "--no-cache")
+        assert run(tmp_path, *argv, "--out", str(out)) == 0
+        pay = json.loads(out.read_text())["payload"]
+        schema("certificate.schema.json").validate(pay)
+        d, w = pay["dual"]["denominator"], pay["dual"]["weights"]
+        rank = {p: i for i, p in enumerate(itertools.permutations(range(1, 5)))}
+        for c in itertools.permutations(range(1, 6)):
+            patterns = {tuple(x - (x > c[i]) for x in c[:i] + c[i + 1:]) for i in range(5)}
+            assert sum(w[rank[p]] for p in patterns) <= d
+        assert -(-sum(w) // d) == pay["size"] == pay["lower_bound"] == 7
 
     def test_solve_cache_round_trip(self, tmp_path, capsys):
         assert run(tmp_path, "solve", "--n", "3", "--method", "exact") == 0
@@ -678,6 +695,21 @@ class TestSolveCache:
         pay = env["payload"]
         assert (pay["status"], pay["size"], pay["lower_bound"]) == ("optimal", 2, 2)
         assert any("not 'optimal'" in w for w in env["warnings"])
+        assert path.with_suffix(".json.quarantined").exists()
+
+    def test_forged_optimal_exact_entry_is_quarantined(self, tmp_path, graph):
+        # greedy's 3-cover of S_3 verifies, but the dual bound is 2, so an
+        # entry claiming it as the exact optimum cannot prove its claim
+        forged = CoverCertificate(3, 1, "exact", greedy_cover(graph(3)).selected, optimal=True)
+        assert cache.store_certificate(tmp_path / "cache", forged) is None
+        path = entry(tmp_path, "3-1-exact-none")
+        path.parent.mkdir()
+        path.write_text(json.dumps(forged.to_json_dict()))
+        code, env = solve_payload(tmp_path, "exact3", "--n", "3", "--method", "exact")
+        assert code == 0
+        pay = env["payload"]
+        assert (pay["status"], pay["size"], pay["lower_bound"]) == ("optimal", 2, 2)
+        assert any("not certified optimal: the dual bound is 2" in w for w in env["warnings"])
         assert path.with_suffix(".json.quarantined").exists()
 
     def test_entry_with_another_initial_size_is_quarantined(self, tmp_path, graph):

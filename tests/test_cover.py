@@ -307,10 +307,11 @@ class TestExactMinCover:
         assert a.size == b.size and a.selected == b.selected
 
     def test_budget_exhaustion_keeps_incumbent(self, graph):
-        g = graph(4)
+        # at n=5 greedy's 31 is above the dual bound 26, so the search runs
+        g = graph(5)
         cert = exact_min_cover(g, 1, time_budget=1e-9)
         assert cert.status == "feasible"
-        assert cert.lower_bound == pigeonhole_lower_bound(4, 1)
+        assert cert.lower_bound == pigeonhole_lower_bound(5, 1)
         assert verify_cover(g, cert.selected, 1).ok
 
     def test_budget_must_be_positive(self, graph):
@@ -347,9 +348,9 @@ class TestExactMinCover:
 
     @pytest.mark.parametrize("n, lam, branches, witness", [
         (3, 1, 20, (2, 21)),
-        (3, 2, 258, (2, 3, 20, 21)),
-        (3, 3, 8292, (2, 3, 4, 15, 20, 21)),
-        (4, 1, 47600, (10, 32, 43, 66, 78, 83, 115)),
+        (3, 2, 218, (2, 3, 20, 21)),
+        (3, 3, 3672, (2, 3, 4, 15, 20, 21)),
+        (4, 1, 0, (10, 32, 43, 66, 78, 83, 115)),  # greedy's 7 meets the dual bound
     ])
     def test_branch_counts_and_witness_pinned(self, graph, monkeypatch, n, lam,
                                               branches, witness):

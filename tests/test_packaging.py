@@ -1,10 +1,16 @@
 """The declared runtime dependencies match the one kernel implementation."""
+import ast
+import fnmatch
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import permcover
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "permcover"
 
 
 def test_single_numpy_backend():
@@ -19,10 +25,48 @@ def test_runtime_dependencies_are_numpy_only():
     assert names == ["numpy"]
 
 
+def _imported_modules(path: Path) -> set[str]:
+    """Every module a source file imports, relative ones without their dots."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names.add(base)
+            names.update(f"{base}.{alias.name}".lstrip(".") for alias in node.names)
+    return names
+
+
+def test_dual_checker_imports_no_solver_code():
+    # the certificate checker must not lean on the search it certifies
+    names = _imported_modules(SRC / "dual.py")
+    tops = {name.removeprefix("permcover.").split(".")[0] for name in names}
+    assert not tops & {"cover", "cache", "cli", "_kernels"}, names
+
+
+def test_library_imports_no_scipy():
+    # scipy only generates the dual table, inside tests/test_dual.py
+    for path in SRC.glob("*.py"):
+        assert not any(name.split(".")[0] == "scipy" for name in _imported_modules(path)), path
+
+
+def test_dual_table_is_package_data_and_loads_lazily():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    globs = tomllib.loads(path.read_text())["tool"]["setuptools"]["package-data"]["permcover"]
+    assert any(fnmatch.fnmatch("data/duals.json", glob) for glob in globs)
+    # the benchmark's setup time covers `import permcover`, which must not read it
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); import permcover; "
+              "assert permcover.dual._shipped_tables.cache_info().currsize == 0")
+    proc = subprocess.run([sys.executable, "-c", script, str(SRC.parent)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_only_the_cli_reads_the_environment():
     # run settings are resolved once, when the CLI parses its arguments
-    src = Path(__file__).resolve().parents[1] / "src" / "permcover"
-    readers = sorted(path.name for path in src.glob("*.py") if "os.environ" in path.read_text())
+    readers = sorted(path.name for path in SRC.glob("*.py") if "os.environ" in path.read_text())
     assert readers == ["cli.py"]
 
 
