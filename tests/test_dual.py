@@ -83,13 +83,12 @@ def ratio(dual: Dual) -> Fraction:
 def test_shipped_dual_is_the_lp_optimum(graph, n):
     g = graph(n)
     dual = checked_dual(g)
-    generated, optimum = lp_dual(g)
+    generated, optimum = lp_dual(g)  # skips without scipy
     assert generated.check(g) is generated
-    if n in LP_OPTIMA:
-        assert ratio(dual) == ratio(generated) == LP_OPTIMA[n]
-    else:
-        assert float(ratio(dual)) == pytest.approx(optimum, abs=1e-9, rel=0)
-        assert float(ratio(generated)) == pytest.approx(optimum, abs=1e-9, rel=0)
+    for d in (dual, generated):
+        if n in LP_OPTIMA:  # exactly, not to a tolerance
+            assert ratio(d) == LP_OPTIMA[n]
+        assert float(ratio(d)) == pytest.approx(optimum, abs=1e-9, rel=0)
 
 
 @pytest.mark.parametrize("n", SHIPPED_N)
