@@ -5,12 +5,7 @@ joint-coverage structure of the pattern/cover incidence, and probing the
 random-selection coverage threshold with Poisson-approximation
 diagnostics.
 """
-from importlib.metadata import PackageNotFoundError, version
-
-try:
-    __version__ = version("permcover")
-except PackageNotFoundError:  # pragma: no cover - running from a source tree
-    __version__ = "0.1.0"
+__version__ = "0.1.0"  # the one place it is set; pyproject.toml reads it
 
 from ._kernels import BACKEND
 from .cover import (

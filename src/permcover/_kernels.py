@@ -70,31 +70,29 @@ def lehmer_ranks(mat: np.ndarray) -> np.ndarray:
 # count_uncovered_chunk: for a batch of independent random selections over
 # S_{n+1}, count how many patterns have no selected cover.  This is the
 # Monte Carlo inner loop, bit-sliced (Biham, FSE 1997): the trials of a
-# batch are bit positions, so one OR over a row of words serves 64 trials.
+# batch are bit lanes, so one OR over a row of words serves 64 trials.
 #
 # cover_ranks is the (n!, n^2+1) table of covering ranks per pattern.
-# packed is (ceil(trials/8), (n+1)!) uint8: bit t % 8 of row t // 8 is set
-# when trial t selects that cover; bits at or past `trials` must be zero.
-# The rows are transposed once into one row of uint64 words per cover, the
-# n^2+1 cover rows of every pattern are OR-ed together, and the inverted
-# accumulator has a set bit exactly where a pattern is left uncovered by
-# that trial.  The output is the exact integer count per trial, length
-# `trials`.
+# words is (ceil(trials/64), (n+1)!) uint64, one row per block of 64
+# trials: bit t of words[b, c] is set when trial 64*b + t selects cover c.
+# The n^2+1 cover columns of every pattern are gathered and OR-ed
+# together, and the inverted (blocks, n!) accumulator has a set bit
+# exactly where a pattern is left uncovered by that trial.  The output is
+# the exact integer count per trial, length `trials`; lanes at or past
+# `trials` are dropped, whatever their bits.
 
 
-def count_uncovered_chunk(cover_ranks: np.ndarray, packed: np.ndarray,
+def count_uncovered_chunk(cover_ranks: np.ndarray, words: np.ndarray,
                           trials: int) -> np.ndarray:
-    n_bytes, n_covers = packed.shape
-    words = -(-n_bytes // 8)
-    by_cover = np.zeros((n_covers, 8 * words), dtype=np.uint8)
-    by_cover[:, :n_bytes] = packed.T
-    rows = by_cover.view(np.uint64)
-    acc = rows.take(cover_ranks[:, 0], axis=0)
+    blocks, n_patterns = words.shape[0], cover_ranks.shape[0]
+    acc = words.take(cover_ranks[:, 0], axis=1)
     for j in range(1, cover_ranks.shape[1]):
-        np.bitwise_or(acc, rows.take(cover_ranks[:, j], axis=0), out=acc)
+        np.bitwise_or(acc, words.take(cover_ranks[:, j], axis=1), out=acc)
     np.invert(acc, out=acc)
-    bits = np.unpackbits(acc.view(np.uint8), axis=1, count=trials, bitorder="little")
-    return bits.sum(axis=0, dtype=np.int64)
+    # little-endian bytes on any host, so byte k holds lanes 8k..8k+7
+    lanes = acc.astype("<u8", copy=False).view(np.uint8).reshape(blocks, n_patterns, 8)
+    bits = np.unpackbits(lanes, axis=2, bitorder="little")  # (blocks, n!, 64)
+    return bits.sum(axis=1, dtype=np.int64).ravel()[:trials]
 
 
 # ---------------------------------------------------------------------------

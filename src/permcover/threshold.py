@@ -7,16 +7,20 @@ sits at the log n / n scale), runs the critical-window distributional
 experiment, and evaluates the exact mean/variance of X, the Stein-Chen
 Poisson-approximation bound, and empirical total-variation distances.
 
-Reproducibility contract: each trial's randomness is a pure function of
-(master_seed, trial_index, stream) through a counter-based Philox
-generator, so results are bit-identical for any worker count or chunk
-schedule; aggregation is integer-count based.  Trials parallelize freely
-over a shared read-only graph.
+Reproducibility contract: trials run in blocks of 64, one trial per bit
+lane of a uint64 word, and block b's randomness is a pure function of
+(master_seed, b, stream): the raw 64-bit words of one counter-based Philox
+stream (see ``trial_rng``), read with ``random_raw`` and no ``Generator``
+method.  The draw order within a block is fixed (see ``_bernoulli_words``),
+so results are bit-identical for any worker count or chunk schedule, and
+the first t trials of a run do not depend on how many trials follow them;
+aggregation is integer-count based.  Trials parallelize freely over a
+shared read-only graph.
 
-Selections are sampled as a Binomial((n+1)!, p) count followed by a
-uniform distinct subset of that size, which is equal in law to per-element
-Bernoulli selection and cheaper at small p; the equivalence is covered by
-a property test.
+Each cover is selected by comparing a uniform random binary fraction with
+the binary expansion of the double p, digit by digit, 64 lanes at a time:
+exactly Bernoulli(p) for that double (Knuth and Yao, "The complexity of
+nonuniform random number generation", 1976).
 """
 from __future__ import annotations
 
@@ -34,50 +38,97 @@ from .graph import CoverageGraph, covers_per_pattern, selection_flags
 
 Z95 = 1.959963984540054
 
-# Trials per chunk: the batch width of one bit-sliced count (256 trials =
-# 32 bytes = 4 words per cover).  RNG streams are keyed per trial, so the
-# chunk size never changes which stream a trial uses, only the batching.
+# Trials per chunk, the unit of work a pool thread runs: four 64-trial
+# blocks.  It must stay a multiple of 64, so a chunk never splits a block
+# and the chunk size never changes which stream a trial's lane comes from.
 _CHUNK_TRIALS = 256
+
+# Rounds in which every cover draws a word, before only the covers with an
+# undecided lane do (see _bernoulli_words).  Part of the draw order.
+_DENSE_ROUNDS = 8
 
 
 # ---------------------------------------------------------------------------
 # Randomness and sampling
 
 
-def trial_rng(master_seed: int, trial_index: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator for one trial.
+def trial_rng(master_seed: int, block: int, stream: int = 0) -> np.random.Generator:
+    """Counter-based generator for one block of 64 trials.
 
-    Philox keyed by (master_seed, trial_index) with the stream id in the
-    counter block: independent across trials and streams, and identical no
-    matter which worker runs the trial.
+    Philox keyed by (master_seed, block) with the stream id in the counter
+    block: independent across blocks and streams, and identical no matter
+    which worker runs the block.  Trials 64*block .. 64*block + 63 are the
+    bit lanes of the block's sample, which reads only the bit generator's
+    raw 64-bit words (``bit_generator.random_raw``).
     """
-    key = np.array([master_seed, trial_index], dtype=np.uint64)
+    key = np.array([master_seed, block], dtype=np.uint64)
     counter = np.array([0, 0, 0, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-def _selected_ranks(m: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """The distinct ranks in 0..m-1 one trial selects (empty if none); callers check p."""
-    k = int(rng.binomial(m, p))
-    if not k:
-        return np.empty(0, dtype=np.int64)
-    return rng.choice(m, size=k, replace=False, shuffle=False)
+def _bernoulli_words(m: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """m uint64 words of independent Bernoulli(p) bits, exact for the double p:
+    bit t of word c says whether lane t selects cover c.
+
+    Each lane selects its cover when a uniform fraction 0.u_1 u_2 ... falls
+    below p = 0.b_1 ... b_e, whose e binary digits come from
+    ``p.as_integer_ratio()``.  Round i reads one raw word per cover: a lane
+    still undecided is selected where the word's bit is 0 and b_i is 1,
+    dropped where it is 1 and b_i is 0, and stays undecided where they
+    agree; a lane still undecided after digit e is dropped.  Draw order:
+    in rounds 1.._DENSE_ROUNDS every cover draws one word, in rank order;
+    in each later round only the covers with an undecided lane do, in rank
+    order, and sampling ends when none is left or the digits run out.  All
+    64 lanes are always sampled, so the draws never depend on how many of
+    them a caller keeps.  p = 0 and p = 1 draw nothing.
+    """
+    if p == 1.0:
+        return np.full(m, 2**64 - 1, dtype=np.uint64)
+    num, den = float(p).as_integer_ratio()
+    digits = den.bit_length() - 1  # den = 2**digits, and p = 0 has no digits
+    raw = rng.bit_generator.random_raw
+    selected = np.zeros(m, dtype=np.uint64)
+    undecided = np.full(m, 2**64 - 1, dtype=np.uint64)
+    for i in range(min(digits, _DENSE_ROUNDS)):
+        r = raw(m)
+        if num >> (digits - 1 - i) & 1:
+            r &= undecided  # the lanes that stay undecided
+            undecided ^= r  # the lanes whose bit is 0
+            selected |= undecided
+            undecided = r
+        else:
+            undecided &= ~r
+    covers = np.flatnonzero(undecided)
+    undecided = undecided[covers]
+    for i in range(_DENSE_ROUNDS, digits):
+        if not covers.size:
+            break
+        r = raw(covers.size)
+        if num >> (digits - 1 - i) & 1:
+            r &= undecided
+            selected[covers] |= undecided ^ r
+            undecided = r
+        else:
+            undecided &= ~r
+        left = np.flatnonzero(undecided)
+        covers, undecided = covers[left], undecided[left]
+    return selected
 
 
 def sample_selection(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     """One random selection over S_{n+1}, each rank kept with probability p,
-    as the sorted selected ranks."""
+    as the sorted selected ranks: lane 0 of the block sampler on ``rng``."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
-    return np.sort(_selected_ranks(factorial(n + 1), p, rng))
+    return np.flatnonzero(_bernoulli_words(factorial(n + 1), p, rng) & np.uint64(1))
 
 
 def count_uncovered(g: CoverageGraph, sel) -> int:
     """Number of patterns with no selected cover under the given selection:
     a boolean mask over the ranks of S_{n+1}, or an array of selected ranks
     (see ``selection_flags``)."""
-    packed = selection_flags(g, sel).astype(np.uint8)[None, :]  # one trial: bit 0
-    x = _kernels.count_uncovered_chunk(g.cover_ranks, packed, 1)
+    words = selection_flags(g, sel).astype(np.uint64)[None, :]  # one trial: lane 0
+    x = _kernels.count_uncovered_chunk(g.cover_ranks, words, 1)
     return int(x[0])
 
 
@@ -291,13 +342,13 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
 
 def _run_chunk(g: CoverageGraph, p: float, master_seed: int, stream: int,
                start: int, stop: int) -> np.ndarray:
-    m = g.n_covers
-    trials = stop - start
-    packed = np.zeros((-(-trials // 8), m), dtype=np.uint8)
-    for i, t in enumerate(range(start, stop)):
-        rng = trial_rng(master_seed, t, stream)
-        packed[i >> 3, _selected_ranks(m, p, rng)] |= np.uint8(1 << (i & 7))
-    x = _kernels.count_uncovered_chunk(g.cover_ranks, packed, trials)
+    """Histogram of X over trials start..stop-1, with start a multiple of 64."""
+    blocks = range(start // 64, -(-stop // 64))
+    words = np.stack([
+        _bernoulli_words(g.n_covers, p, trial_rng(master_seed, b, stream)) for b in blocks
+    ])
+    words[-1] &= np.uint64(2 ** (stop - 64 * blocks[-1]) - 1)  # lanes past `stop`
+    x = _kernels.count_uncovered_chunk(g.cover_ranks, words, stop - start)
     return np.bincount(x, minlength=g.n_patterns + 1)
 
 
@@ -313,9 +364,10 @@ def run_uncovered_counts(
     """Histogram of X over ``trials`` independent selections.
 
     Returns integer counts indexed by X value (length n!+1).  The result
-    depends only on (n, p, trials, master_seed, stream): chunks run on a
-    pool of ``workers`` threads, but never change which generator a trial
-    uses, and the histogram sum is order-insensitive.
+    depends only on (n, p, trials, master_seed, stream): chunks of whole
+    64-trial blocks run on a pool of ``workers`` threads, but never change
+    which generator a block uses, and the histogram sum is
+    order-insensitive.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -323,6 +375,8 @@ def run_uncovered_counts(
         raise ValueError("p must be in [0, 1]")
     if not 0 <= master_seed < 2**64:
         raise ValueError("seed must be in [0, 2**64)")
+    if not 0 <= stream < 2**64:
+        raise ValueError("stream must be in [0, 2**64)")
     spans = [
         (s, min(s + _CHUNK_TRIALS, trials)) for s in range(0, trials, _CHUNK_TRIALS)
     ]

@@ -10,10 +10,17 @@ pairs as the brute force, one of which has been verified by hand.
 
 All randomized criteria pin master seeds; results are bit-identical for
 any worker count (criterion 11).
+
+The exact law of the uncovered count at n = 2, 3, 4, by inclusion-exclusion
+over cover masks built from itertools alone, backs the Monte Carlo
+criteria at small n: chi-square tests of sampled histograms against it,
+and `exact_variance` against its variance.
 """
+import functools
 import itertools
 import time
-from math import factorial, sqrt
+from fractions import Fraction
+from math import comb, factorial, sqrt
 
 import numpy as np
 import pytest
@@ -31,6 +38,7 @@ from permcover.graph import audit_joint_coverage, covers_per_pattern
 from permcover.perms import Permutation, rank
 from permcover.threshold import (
     count_uncovered,
+    critical_window_p,
     exact_mean,
     exact_variance,
     gap_experiment,
@@ -220,6 +228,71 @@ def _oracle_min_cover_size(n):
     while not _oracle_cover_exists(n, k):
         k += 1
     return k
+
+
+def _subset_unions(sets, words):
+    """Row i is the union of the sets whose bits are set in i, as `words`
+    uint64 words per row (bit r of the row is member r)."""
+    out = np.zeros((1, words), dtype=np.uint64)
+    for s in sets:
+        row = np.array([s >> (64 * w) & (2**64 - 1) for w in range(words)], dtype=np.uint64)
+        out = np.concatenate([out, out | row])
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_law_table(n):
+    """H[u, j]: how many sets of u patterns of S_n have j covers in all.
+
+    Built from itertools alone.  The patterns split in two halves; the
+    cover unions of every subset of each half are tabulated as words, and
+    each pair of subsets is OR-ed and counted with numpy.
+    """
+    masks = _oracle_deletion_masks(n)
+    n_covers = len(masks)
+    sets = [sum(1 << r for r, m in enumerate(masks) if m >> p & 1) for p in range(factorial(n))]
+    words = -(-n_covers // 64)
+    half = len(sets) // 2
+    a, b = _subset_unions(sets[:half], words), _subset_unions(sets[half:], words)
+    size_a = np.bitwise_count(np.arange(len(a)))[:, None].astype(np.int64)
+    size_b = np.bitwise_count(np.arange(len(b)))[None, :].astype(np.int64)
+    table = np.zeros((len(sets) + 1) * (n_covers + 1), dtype=np.int64)
+    for lo in range(0, len(a), 256):
+        rows = a[lo:lo + 256, None, :] | b[None, :, :]
+        union = np.bitwise_count(rows).sum(axis=2, dtype=np.int64)
+        u = size_a[lo:lo + 256] + size_b
+        table += np.bincount((u * (n_covers + 1) + union).ravel(), minlength=table.size)
+    return table.reshape(len(sets) + 1, n_covers + 1)
+
+
+def _oracle_law(n, p):
+    """P(X = k) for k = 0..n!, exactly, at the double p, where X counts the
+    patterns with no selected cover when each cover is selected with
+    probability p.
+
+    Inclusion-exclusion over sets U of patterns: P(X = k) is the sum over
+    |U| = u >= k of (-1)^(u-k) C(u, k) (1-p)^|N(U)|, with N(U) the union
+    of U's covers.  The coefficient of each power of 1-p is an exact
+    integer, and p is a dyadic rational, so the alternating sum is exact.
+    """
+    table = _oracle_law_table(n)
+    n_patterns, n_covers = table.shape[0] - 1, table.shape[1] - 1
+    u = range(n_patterns + 1)
+    signed = np.array([[(-1) ** (v - k & 1) * comb(v, k) for v in u] for k in u], dtype=np.int64)
+    coef = signed @ table  # |entries| <= 3^(n!) fits int64 up to n = 4
+    # 1-p = a / 2^e, so (1-p)^j = a^j 2^(e(n_covers-j)) / 2^(e n_covers)
+    a, den = (1 - Fraction(p)).as_integer_ratio()
+    e = den.bit_length() - 1
+    weights = [a**j << e * (n_covers - j) for j in range(n_covers + 1)]
+    return [Fraction(sum(int(c) * w for c, w in zip(row, weights) if c), 1 << e * n_covers)
+            for row in coef]
+
+
+def _chi_square_bound(df, z=3.719):
+    """Upper 1e-4 quantile of chi-square with df degrees of freedom, by the
+    Wilson-Hilferty approximation (19.3 at df = 2, where the exact value
+    is 18.4); z is the matching normal quantile."""
+    return df * (1 - 2 / (9 * df) + z * sqrt(2 / (9 * df))) ** 3
 
 
 def test_3_oracle_masks_match_insertion_covers():
@@ -438,3 +511,67 @@ def test_11_bit_identical_payloads_across_workers(graph, sweep_n7, gap_n7):
     ok = report(11, "different worker counts give bit-identical payloads", True,
                 f"{time.perf_counter() - t0:.1f}s")
     assert ok
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_exact_law_oracle_is_a_law_with_the_exact_mean(n):
+    """The oracle sums to 1 and has mean n!(1-p)^(n^2+1), both exactly."""
+    table = _oracle_law_table(n)
+    assert table.sum() == 2 ** factorial(n)
+    assert table[0].tolist() == [1] + [0] * factorial(n + 1)
+    for p in (0.1, 0.3, 0.5, 1 / 3):
+        law = _oracle_law(n, p)
+        assert sum(law) == 1
+        assert all(w >= 0 for w in law)
+        mean = sum(k * w for k, w in enumerate(law))
+        assert mean == factorial(n) * (1 - Fraction(p)) ** (n * n + 1)
+
+
+def test_exact_law_oracle_matches_enumeration_n2():
+    """At n = 2 the oracle equals the law over all 64 selections."""
+    masks = _oracle_deletion_masks(2)
+    p = Fraction(0.3)
+    law = [Fraction(0)] * 3
+    for bits in itertools.product((0, 1), repeat=6):
+        covered = 0
+        for m, b in zip(masks, bits):
+            covered |= m if b else 0
+        k = sum(bits)
+        law[2 - covered.bit_count()] += p**k * (1 - p) ** (6 - k)
+    assert _oracle_law(2, 0.3) == law
+
+
+@pytest.mark.parametrize("n, p", [
+    (2, 0.3), (2, 0.6),
+    (3, 0.1), (3, 0.2),
+    (4, 0.1), (4, critical_window_p(4, 0.0)), (4, 0.25),
+])
+def test_exact_law_chi_square(graph, n, p):
+    """The sampled histogram of X fits the exact law (chi-square, tail bins
+    pooled until each expects at least 5 trials, level 1e-4)."""
+    trials = 100_000
+    hist = run_uncovered_counts(graph(n), p, trials, EXHAUSTIVE_SEED)
+    expected = [trials * float(w) for w in _oracle_law(n, p)]
+    bins, observed, acc_e, acc_o = [], [], 0.0, 0
+    for e, o in zip(expected, hist.tolist()):
+        acc_e, acc_o = acc_e + e, acc_o + o
+        if acc_e >= 5:
+            bins.append(acc_e)
+            observed.append(acc_o)
+            acc_e, acc_o = 0.0, 0
+    bins[-1] += acc_e
+    observed[-1] += acc_o
+    assert sum(observed) == trials
+    chi2 = sum((o - e) ** 2 / e for o, e in zip(observed, bins))
+    df = len(bins) - 1
+    assert df >= 2, bins
+    assert chi2 <= _chi_square_bound(df), (chi2, df)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_exact_variance_matches_exact_law(graph, n):
+    for p in (0.05, 0.1, critical_window_p(4, 0.0), 0.3, 0.6):
+        law = _oracle_law(n, p)
+        mean = sum(k * w for k, w in enumerate(law))
+        var = float(sum((k - mean) ** 2 * w for k, w in enumerate(law)))
+        assert exact_variance(graph(n), p) == pytest.approx(var, rel=1e-12, abs=1e-12), p

@@ -64,6 +64,23 @@ def test_dual_table_is_package_data_and_loads_lazily():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_reads_no_package_metadata():
+    # the version is a literal that pyproject.toml reads, so a fresh
+    # `import permcover` (the benchmark's setup time) scans no sys.path for
+    # installed distributions
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    config = tomllib.loads(path.read_text())
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "permcover.__version__"}
+    assert re.fullmatch(r"\d+\.\d+\.\d+", permcover.__version__)
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); import permcover; "
+              "assert 'importlib.metadata' not in sys.modules, 'importlib.metadata'")
+    proc = subprocess.run([sys.executable, "-c", script, str(SRC.parent)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_only_the_cli_reads_the_environment():
     # run settings are resolved once, when the CLI parses its arguments
     readers = sorted(path.name for path in SRC.glob("*.py") if "os.environ" in path.read_text())

@@ -83,8 +83,8 @@ class TestSampling:
         assert abs(total / trials - 12.0) <= 3 * se
 
     def test_matches_direct_bernoulli_marginals(self):
-        # binomial-count + uniform-subset realization must match per-element
-        # Bernoulli inclusion: check every element's inclusion frequency
+        # lane 0 of the block sampler is per-element Bernoulli inclusion:
+        # check every element's inclusion frequency
         trials = 4000
         m = 24
         counts = np.zeros(m)
@@ -96,6 +96,61 @@ class TestSampling:
     def test_invalid_p(self):
         with pytest.raises(ValueError):
             sample_selection(3, 1.5, trial_rng(0, 0))
+
+
+class TestBlockSampler:
+    """The exact lane-parallel Bernoulli sampler behind every trial."""
+
+    @pytest.mark.parametrize("p", [0.1, 0.15, 0.5, 1 / 3])
+    def test_per_cover_and_per_lane_frequencies(self, p):
+        # 0.1, 0.15 and 1/3 have 52-55 binary digits, 0.5 has one
+        m, blocks = 120, 200
+        words = np.stack([threshold._bernoulli_words(m, p, trial_rng(5, b, 2))
+                          for b in range(blocks)])
+        flags = lane_flags(words, 64 * blocks)  # (trials, covers)
+        per_cover = flags.mean(axis=0)
+        assert np.all(np.abs(per_cover - p) <= 5 * sqrt(p * (1 - p) / (64 * blocks)))
+        per_lane = flags.reshape(blocks, 64, m).mean(axis=(0, 2))
+        assert np.all(np.abs(per_lane - p) <= 5 * sqrt(p * (1 - p) / (blocks * m)))
+        assert abs(flags.mean() - p) <= 4 * sqrt(p * (1 - p) / flags.size)
+
+    def test_digits_past_the_dense_rounds_count(self):
+        # p = 1/16 - 2^-40 is 0.0000 followed by 36 ones in binary; a
+        # sampler that stopped after the 8 dense rounds would select at
+        # 15/256, 50 standard errors below p over these 10.3M lanes
+        p = 1 / 16 - 2**-40
+        words = np.stack([threshold._bernoulli_words(40320, p, trial_rng(2, b)) for b in range(4)])
+        rate = int(np.bitwise_count(words).sum()) / (64 * words.size)
+        assert abs(rate - p) <= 5 * sqrt(p * (1 - p) / (64 * words.size))
+
+    @pytest.mark.parametrize("p, word", [(0.0, 0), (1.0, 2**64 - 1)])
+    def test_degenerate_words_draw_nothing(self, p, word):
+        rng = trial_rng(1, 0)
+        words = threshold._bernoulli_words(50, p, rng)
+        assert words.dtype == np.uint64
+        assert words.tolist() == [word] * 50
+        fresh = trial_rng(1, 0).bit_generator.random_raw(4)
+        assert np.array_equal(rng.bit_generator.random_raw(4), fresh)
+
+    @pytest.mark.parametrize("p, x", [(5e-324, 6), (1 - 2**-53, 0)])
+    def test_extreme_doubles_end(self, graph, p, x):
+        # a subnormal p has 1074 binary digits, 1 - 2^-53 has 53 ones; a
+        # lane is selected with probability 2^-1074 and missed with 2^-53
+        hist = run_uncovered_counts(graph(3), p, 1000, 4)
+        assert hist[x] == 1000
+
+    def test_trials_are_a_prefix_of_longer_runs(self, graph):
+        # lanes past `trials` are sampled and then masked, so 700 trials
+        # are lanes 0..699 of a 768-trial run with the same seed and stream
+        g = graph(5)
+        p, seed, stream = 0.12, 11, 3
+        words = np.stack([threshold._bernoulli_words(g.n_covers, p, trial_rng(seed, b, stream))
+                          for b in range(12)])
+        x = _kernels.count_uncovered_chunk(g.cover_ranks, words, 768)
+        assert np.array_equal(run_uncovered_counts(g, p, 768, seed, stream=stream),
+                              np.bincount(x, minlength=g.n_patterns + 1))
+        assert np.array_equal(run_uncovered_counts(g, p, 700, seed, stream=stream),
+                              np.bincount(x[:700], minlength=g.n_patterns + 1))
 
 
 class TestCountUncovered:
@@ -135,6 +190,22 @@ def reference_uncovered(cover_ranks, flags):
     )
 
 
+def lane_words(flags):
+    """Block-major lane words: trial t's flags as bit t % 64 of row t // 64."""
+    trials, m = flags.shape
+    padded = np.zeros((-(-trials // 64) * 64, m), dtype=bool)
+    padded[:trials] = flags
+    octets = np.packbits(padded, axis=0, bitorder="little").reshape(-1, 8, m)
+    return np.ascontiguousarray(octets.transpose(0, 2, 1)).view("<u8")[..., 0].astype(np.uint64)
+
+
+def lane_flags(words, trials):
+    """Inverse of lane_words: one row of cover flags per trial."""
+    lanes = np.arange(trials)
+    shifted = words[lanes // 64] >> (lanes % 64).astype(np.uint64)[:, None]
+    return (shifted & np.uint64(1)).astype(bool)
+
+
 class TestBitSlicedKernel:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_per_trial_reference(self, graph, n):
@@ -143,10 +214,10 @@ class TestBitSlicedKernel:
         for trials in (1, 7, 8, 9, 63, 64, 65, 256):
             for p in (0.0, 0.05, 0.5, 1.0):
                 flags = rng.random((trials, g.n_covers)) < p
-                # bit t % 8 of row t // 8 is trial t's flag
-                packed = np.packbits(flags, axis=0, bitorder="little")
-                assert packed.shape == ((trials + 7) // 8, g.n_covers)
-                x = _kernels.count_uncovered_chunk(g.cover_ranks, packed, trials)
+                words = lane_words(flags)
+                assert words.shape == ((trials + 63) // 64, g.n_covers)
+                assert np.array_equal(lane_flags(words, trials), flags)
+                x = _kernels.count_uncovered_chunk(g.cover_ranks, words, trials)
                 assert x.shape == (trials,)
                 assert np.array_equal(x, reference_uncovered(g.cover_ranks, flags)), (
                     trials, p)
@@ -161,29 +232,36 @@ class TestBitSlicedKernel:
         assert x == reference_uncovered(g.cover_ranks, view[None, :])[0]
 
     def test_chunks_match_per_trial_sampling(self, graph):
-        # two chunks, the second ending in a partial byte: the packed
-        # sampling path agrees with each trial's own selection counted alone
+        # two chunks, the second ending in a partial block: the sampling
+        # path agrees with each trial rebuilt from its lane of its block's
+        # words and counted alone
         g = graph(4)
         p, trials, seed, stream = 0.2, 300, 3, 1
         hist = run_uncovered_counts(g, p, trials, seed, stream=stream)
-        flags = np.array([
-            np.isin(np.arange(g.n_covers), sample_selection(4, p, trial_rng(seed, t, stream)))
-            for t in range(trials)
+        words = np.stack([
+            threshold._bernoulli_words(g.n_covers, p, trial_rng(seed, b, stream))
+            for b in range(5)
         ])
+        flags = lane_flags(words, trials)
         expected = np.bincount(
             reference_uncovered(g.cover_ranks, flags), minlength=g.n_patterns + 1
         )
         assert np.array_equal(hist, expected)
+        # sample_selection is lane 0 of the same sampler
+        for b in range(5):
+            sel = sample_selection(4, p, trial_rng(seed, b, stream))
+            assert np.array_equal(sel, np.flatnonzero(flags[64 * b]))
 
 
 class TestGoldenHistograms:
     """Histograms pinned to literals: a change that moves payload bytes
-    (RNG stream layout, sampling order, counting) fails here."""
+    (RNG stream layout, draw order, counting) fails here."""
 
     def test_n6_three_chunks_partial_byte(self, graph):
+        # 700 trials: chunks of 256, 256 and 188, the last block 60 lanes wide
         hist = run_uncovered_counts(graph(6), 0.15, 700, 7, stream=0)
         expected = np.zeros(721, dtype=np.int64)
-        for x, c in {0: 123, 1: 209, 2: 174, 3: 112, 4: 50, 5: 21, 6: 5, 7: 4, 8: 2}.items():
+        for x, c in {0: 111, 1: 230, 2: 176, 3: 107, 4: 38, 5: 24, 6: 13, 8: 1}.items():
             expected[x] = c
         assert np.array_equal(hist, expected)
 
@@ -432,6 +510,13 @@ class TestMonteCarlo:
             assert np.array_equal(
                 base, run_uncovered_counts(g, 0.12, 700, master_seed=9, workers=workers)
             )
+
+    @pytest.mark.parametrize("stream", [-1, 2**64])
+    def test_stream_out_of_range(self, graph, stream):
+        with pytest.raises(ValueError, match="stream must be in"):
+            run_uncovered_counts(graph(2), 0.5, 10, master_seed=0, stream=stream)
+        for edge in (0, 2**64 - 1):
+            assert run_uncovered_counts(graph(2), 0.5, 10, master_seed=0, stream=edge).sum() == 10
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_out_of_range(self, graph, seed):
