@@ -100,44 +100,77 @@ def count_uncovered_chunk(cover_ranks: np.ndarray, words: np.ndarray,
 # shares, summarised without a dense (n!)^2 matrix.  pattern_rows is the
 # graph's padded ((n+1)!, n+1) table: each cover's distinct patterns in
 # ascending order, then the sentinel n!.  For each pattern p the rows of its
-# n^2+1 covers are gathered into one row and sorted; a run of value v != p
-# of length c then says that v shares exactly c covers with p, because a
-# cover lists each pattern once, and the sentinel's run is dropped.
-# Patterns are processed in blocks of _PAIR_BLOCK rows, which bounds the
-# transient below the build's own peak: at n=8 a fresh process peaks at
-# ~112 MB after the build and the same after the pair statistics, against
-# ~790 MB for one unblocked pass.
-# Returns (n_pairs, partners, four_pairs): n_pairs[c] is the number of
-# ordered pairs sharing exactly c >= 1 covers (n_pairs[0] = 0), partners[p]
-# the number of patterns sharing at least one cover with p, and four_pairs
-# the (k, 2) rank pairs a < b sharing exactly 4 covers, in lexicographic
-# order.
+# n^2+1 covers are gathered into one row, in the smallest unsigned dtype
+# of at least 16 bits that holds n! (uint16 up to n = 8; numpy 2.4 sorts
+# uint8 rows ~20x slower), and sorted in place.  A run of value v of
+# length c then says that v shares exactly c covers with p, because a
+# cover lists each pattern once.  Two runs are not pairs: p's own, exactly
+# n^2+1 long (the build checks that), and the sentinel's, as long as the
+# row's padding; both are taken out analytically.
+#
+# The runs are summarised by shifted equality compares, never listed: the
+# count of i with row[i] == row[i+k] is T_k, the sum of max(0, L-k) over
+# the runs, whose second differences T_{c-1} - 2 T_c + T_{c+1} count the
+# runs of length exactly c.  The shifts stop at the first k where only p's
+# own run and the sentinel's are left, k = 4 on every real graph.  The
+# number of runs in a row is its length minus its count at k = 1, so the
+# partners are that minus p's run and the sentinel's.  A run of exactly 4
+# starts at an i whose entry 3 on is equal and whose entries before and
+# 4 on are not.  Both reads wrap around the row, onto its last or first
+# entry; for a value above p that entry could equal it only if the whole
+# row did, and p's own smaller run is in the row.
+# Patterns are processed in blocks of _PAIR_BLOCK rows: a block at n = 8
+# is a 0.6 MB row table plus bool masks of half that, far inside the
+# build's own transients.  So the pair statistics leave a fresh process's
+# post-build peak unchanged at n = 7 (38.5 MB) and n = 8 (110.6 MB), where
+# int64 tables listing every run would raise it by ~18 MB at n = 7.  They
+# take ~0.015 s at n = 7 and ~0.18 s at n = 8 (ru_maxrss and wall time,
+# Python 3.11, numpy 2.4, 2 cores).
+# Returns (n_pairs, partners, four_pairs), all int64: n_pairs[c] is the
+# number of ordered pairs sharing exactly c >= 1 covers (n_pairs[0] = 0),
+# partners[p] the number of patterns sharing at least one cover with p,
+# and four_pairs the (k, 2) rank pairs a < b sharing exactly 4 covers, in
+# lexicographic order.
 
 
-_PAIR_BLOCK = 2048
+_PAIR_BLOCK = 512
 
 
 def joint_pair_counts(cover_ranks: np.ndarray, pattern_rows: np.ndarray):
     n_patterns, per_pattern = cover_ranks.shape
-    n_pairs = np.zeros(per_pattern + 1, dtype=np.int64)
-    partners = np.zeros(n_patterns, dtype=np.int64)
+    width = per_pattern * pattern_rows.shape[1]
+    dtype = np.promote_types(np.min_scalar_type(n_patterns), np.uint16)
+    tails = np.zeros(per_pattern + 2, dtype=np.int64)  # T_k of the pair runs
+    partners = np.empty(n_patterns, dtype=np.int64)
     four_pairs = []
     for lo in range(0, n_patterns, _PAIR_BLOCK):
         hi = min(lo + _PAIR_BLOCK, n_patterns)
-        lists = pattern_rows[cover_ranks[lo:hi]].reshape(hi - lo, -1)
+        rows = hi - lo
+        lists = pattern_rows.take(cover_ranks[lo:hi], axis=0).astype(dtype).reshape(rows, width)
         lists.sort(axis=1)
-        starts = np.ones(lists.shape, dtype=bool)
-        np.not_equal(lists[:, 1:], lists[:, :-1], out=starts[:, 1:])
-        at = np.flatnonzero(starts)
-        run = np.diff(at, append=lists.size)
-        value = lists.ravel()[at]
-        owner = at // lists.shape[1] + lo
-        keep = (value != owner) & (value != n_patterns)
-        run, value, owner = run[keep], value[keep], owner[keep]
-        n_pairs += np.bincount(run, minlength=per_pattern + 1)
-        partners[lo:hi] = np.bincount(owner - lo, minlength=hi - lo)
-        four = (run == 4) & (value > owner)
-        four_pairs.append(np.column_stack((owner[four], value[four])))
+        pad = np.count_nonzero(lists == n_patterns, axis=1)
+        tails[0] += rows * (width - per_pattern) - pad.sum()
+        for k in range(1, per_pattern + 1):
+            same = lists[:, k:] == lists[:, :-k]
+            if k == 1:
+                per_row = np.count_nonzero(same, axis=1)
+                partners[lo:hi] = width - per_row - 1 - (pad > 0)
+                equal = per_row.sum()
+            else:
+                equal = np.count_nonzero(same)
+            tail = equal - rows * (per_pattern - k) - np.maximum(pad - k, 0).sum()
+            tails[k] += tail
+            if tail == 0:
+                break
+        head = lists[:, :-3]
+        owner = np.arange(lo, hi, dtype=dtype)[:, None]
+        four_on = (lists[:, 3:] == head) & (head > owner) & (head < n_patterns)
+        r, i = np.divmod(np.flatnonzero(four_on), width - 3)
+        value = lists[r, i]
+        exact = (lists[r, i - 1] != value) & (lists[r, (i + 4) % width] != value)
+        four_pairs.append(np.column_stack((r[exact] + lo, value[exact])))
+    n_pairs = np.zeros(per_pattern + 1, dtype=np.int64)
+    n_pairs[1:] = tails[:-2] - 2 * tails[1:-1] + tails[2:]
     return n_pairs, partners, np.concatenate(four_pairs)
 
 

@@ -33,8 +33,9 @@ DEFAULT_MAX_N = 8
 """Largest pattern length n for full enumeration of S_{n+1} by default.
 
 Memory and build time grow like (n+1)! * (n+1); n=8, all 362880
-permutations of length 9, builds in ~0.2 s at a ~112 MB peak (Python 3.11,
-numpy 2.4, 2 cores), and the pair statistics do not raise it.  Override
+permutations of length 9, builds in ~0.2 s at a ~111 MB peak (Python 3.11,
+numpy 2.4, 2 cores).  The pair statistics then take ~0.18 s in blocks of
+512 patterns and do not raise that peak.  Override
 with build_graph's ``max_n`` (the CLI's --max-n or PERMCOVER_MAX_N).
 """
 

@@ -344,9 +344,9 @@ def _run_chunk(g: CoverageGraph, p: float, master_seed: int, stream: int,
                start: int, stop: int) -> np.ndarray:
     """Histogram of X over trials start..stop-1, with start a multiple of 64."""
     blocks = range(start // 64, -(-stop // 64))
-    words = np.stack([
-        _bernoulli_words(g.n_covers, p, trial_rng(master_seed, b, stream)) for b in blocks
-    ])
+    words = np.empty((len(blocks), g.n_covers), dtype=np.uint64)
+    for row, b in zip(words, blocks):
+        row[:] = _bernoulli_words(g.n_covers, p, trial_rng(master_seed, b, stream))
     words[-1] &= np.uint64(2 ** (stop - 64 * blocks[-1]) - 1)  # lanes past `stop`
     x = _kernels.count_uncovered_chunk(g.cover_ranks, words, stop - start)
     return np.bincount(x, minlength=g.n_patterns + 1)

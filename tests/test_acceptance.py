@@ -20,7 +20,7 @@ import functools
 import itertools
 import time
 from fractions import Fraction
-from math import comb, factorial, sqrt
+from math import comb, exp, factorial, sqrt
 
 import numpy as np
 import pytest
@@ -575,3 +575,33 @@ def test_exact_variance_matches_exact_law(graph, n):
         mean = sum(k * w for k, w in enumerate(law))
         var = float(sum((k - mean) ** 2 * w for k, w in enumerate(law)))
         assert exact_variance(graph(n), p) == pytest.approx(var, rel=1e-12, abs=1e-12), p
+
+
+def _exact_tv_to_poisson(n, p):
+    """TV between the exact law of X and the Poisson law with its mean
+    n!(1-p)^(n^2+1), computed with math alone; the Poisson mass past n!,
+    where X has none, counts in full."""
+    law = [float(w) for w in _oracle_law(n, p)]
+    lam = factorial(n) * (1 - p) ** (n * n + 1)
+    poisson = [exp(-lam) * lam**k / factorial(k) for k in range(len(law))]
+    return 0.5 * (sum(abs(a - b) for a, b in zip(law, poisson)) + 1 - sum(poisson))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stein_chen_bound_holds_against_the_exact_law(graph, n):
+    """The uncovered indicators are increasing in the non-selections, so
+    they are positively related and the Stein-Chen bound holds (Barbour,
+    Holst and Janson, "Poisson Approximation", 1992)."""
+    for p in (0.02, 0.05, 0.1, critical_window_p(4, 0.0), 0.2, 0.3, 0.5, 0.8):
+        assert stein_chen_bound(graph(n), p) >= _exact_tv_to_poisson(n, p), p
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_gap_tv_matches_the_exact_tv(graph, n):
+    """The sampled TV to Poisson estimates the exact one within 4 of its
+    standard errors, taken over the exact law's bins."""
+    p = p_for_mean(n, 1.0)
+    trials = 20_000
+    rep = gap_experiment(graph(n), p, trials, GAP_SEED)
+    se = tv_standard_error([float(w) for w in _oracle_law(n, p)], trials)
+    assert abs(rep.tv_to_poisson - _exact_tv_to_poisson(n, p)) <= 4 * se

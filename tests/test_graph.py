@@ -11,6 +11,7 @@ import pytest
 from permcover import _kernels
 from permcover.errors import ResourceLimitError
 from permcover.graph import (
+    CoverageGraph,
     _adjacent_swap_pairs,
     audit_joint_coverage,
     build_graph,
@@ -458,14 +459,21 @@ def _brute_force_pair_stats(n):
         order = sorted(seq)
         return tuple(order.index(v) + 1 for v in seq)
 
-    shared = np.zeros((len(patterns), len(patterns)), dtype=np.int64)
-    for cover in itertools.permutations(range(1, n + 2)):
-        listed = sorted({index[standardize(cover[:i] + cover[i + 1:])]
-                         for i in range(n + 1)})
+    covers = [sorted({index[standardize(cover[:i] + cover[i + 1:])] for i in range(n + 1)})
+              for cover in itertools.permutations(range(1, n + 2))]
+    return _shared_cover_stats(covers, len(patterns), n * n + 1)
+
+
+def _shared_cover_stats(covers, n_patterns, per_pattern):
+    """N_c, partners and four-cover pairs of covers given as lists of
+    distinct patterns, by counting the shared covers of every ordered pair
+    directly."""
+    shared = np.zeros((n_patterns, n_patterns), dtype=np.int64)
+    for listed in covers:
         pairs = np.array(list(itertools.permutations(listed, 2)), dtype=np.int64)
         if pairs.size:
             np.add.at(shared, (pairs[:, 0], pairs[:, 1]), 1)
-    n_pairs = np.bincount(shared.ravel(), minlength=n * n + 2)
+    n_pairs = np.bincount(shared.ravel(), minlength=per_pattern + 1)
     n_pairs[0] = 0
     a, b = np.nonzero(np.triu(shared == 4))
     return n_pairs, (shared > 0).sum(axis=1), np.column_stack((a, b))
@@ -534,3 +542,81 @@ class TestPairStats:
         )
         assert proc.returncode == 0, proc.stderr
         assert float(proc.stdout) < 96.0
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux VmHWM")
+    def test_n7_memory_peak(self):
+        # At n = 7 a block of uint16 cover lists and its masks take about
+        # 0.5 MB, well inside the build's own transients, so the pair
+        # statistics leave the post-build peak alone; int64 tables of every
+        # run (pattern, value, length) raised it by ~18 MB here.  The peak is
+        # the child's VmHWM, not ru_maxrss: on Linux a child's ru_maxrss
+        # starts at its parent's peak, here the whole test session's.
+        script = (
+            "import re, sys; sys.path.insert(0, sys.argv[1])\n"
+            "from permcover.graph import build_graph\n"
+            "def peak():\n"
+            "    status = open('/proc/self/status').read()\n"
+            "    return int(re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1)) / 1024\n"
+            "g = build_graph(7)\n"
+            "base = peak()\n"
+            "g.joint_count_matrix()\n"
+            "print(peak() - base)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(Path(__file__).resolve().parents[1] / "src")],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 2.0
+
+
+def _cover_table(covers, n_patterns):
+    """(cover_ranks, pattern_rows) for covers given as lists of distinct
+    patterns, laid out as in a built graph: each row sorted and padded with
+    the sentinel n_patterns, and each pattern's covers in rank order.  The
+    np.array call fails unless every pattern has the same number of covers."""
+    pattern_rows = np.full((len(covers), max(map(len, covers))), n_patterns, dtype=np.int32)
+    for r, row in enumerate(covers):
+        pattern_rows[r, : len(row)] = sorted(row)
+    cover_ranks = np.array(
+        [[r for r, row in enumerate(covers) if p in row] for p in range(n_patterns)],
+        dtype=np.int32,
+    )
+    return cover_ranks, pattern_rows
+
+
+# Real graphs share at most 4 covers per pair, so these hand-made tables
+# check the runs that never occur there.  In the first, patterns 0 and 1
+# share 6 covers, the pattern-0 list has a run of 4 (value 2) right after
+# one of 6, and rows [2, 3] and [3] carry sentinels.  In the second, the
+# pattern-0 list has a run of 4 right before one of 5, and the pattern-2
+# list ends with a run of 4.
+LONG_RUN_TABLES = [
+    [[0, 1, 2]] * 4 + [[0, 1, 3]] * 2 + [[2, 3]] * 2 + [[3]] * 2,
+    [[0, 1]] * 4 + [[0, 2]] * 5 + [[1, 3]] * 5 + [[2, 3]] * 4,
+]
+
+
+class TestPairStatsLongRuns:
+    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("covers", LONG_RUN_TABLES)
+    def test_matches_brute_force(self, covers, block, monkeypatch):
+        monkeypatch.setattr(_kernels, "_PAIR_BLOCK", block)
+        cover_ranks, pattern_rows = _cover_table(covers, 4)
+        got = _kernels.joint_pair_counts(cover_ranks, pattern_rows)
+        want = _shared_cover_stats(covers, 4, cover_ranks.shape[1])
+        assert max(np.flatnonzero(want[0])) >= 5
+        for a, b in zip(got, want):
+            assert a.dtype == np.int64
+            assert np.array_equal(a, b)
+
+    def test_audit_reports_more_than_4_shared_covers(self):
+        # n = 2 with n^2 + 1 = 5 covers per pattern, all shared, and one
+        # cover holding only sentinels
+        covers = [[0, 1]] * 5 + [[]]
+        cover_ranks, pattern_rows = _cover_table(covers, 2)
+        succ_counts = np.count_nonzero(pattern_rows == 2, axis=1).astype(np.uint8)
+        rep = audit_joint_coverage(CoverageGraph(2, cover_ranks, pattern_rows, succ_counts))
+        assert rep.max_C == 5 and rep.max_J == 1
+        assert not rep.bounds_ok
+        assert rep.violations[0] == {"kind": "pair_cover_count_exceeds_4", "max_C": 5}

@@ -43,3 +43,29 @@ def test_tracer_counts_exact_branches():
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tracer_times_the_pair_statistics_once_per_gap_job(tmp_path):
+    # `kernels.joint_pair_counts_s` is the kernel's span.  A gap job builds
+    # one graph and computes its pair statistics once, through the graph's
+    # cached joint_count_matrix; a kernel split into helpers, or a caller
+    # that bypassed the graph, would zero or inflate the metric without
+    # failing a run.
+    script = (
+        "import sys; sys.path[:0] = sys.argv[1:3]; "
+        "import tracing; tracer = tracing.install(); "
+        "from permcover.cli import dispatch\n"
+        "with tracer.job(0):\n"
+        "    code = dispatch(['--quiet', 'gap', '--n', '5', '--K=0', '--trials', '256', "
+        "'--seed', '1', '--out', sys.argv[3]])\n"
+        "assert code == 0, code\n"
+        "spans = [s for s in tracer.spans if s.name == '_kernels.joint_pair_counts']\n"
+        "assert len(spans) == 1, spans\n"
+        "assert spans[0].parent.name == 'graph.CoverageGraph.joint_count_matrix', spans[0]\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(ROOT / "src"), str(ROOT / "perfbench"),
+         str(tmp_path / "gap.json")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
