@@ -67,6 +67,27 @@ def lehmer_ranks(mat: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# lehmer_unrank: the inverse of lehmer_ranks, every rank in 0..length!-1 to
+# its permutation of 1..length, one uint8 row each.  The Lehmer digits come
+# out of one mixed-radix pass from the last position, radix length - i at
+# position i.  The rows are then built from the right: digit d at position
+# i is the value's rank among positions i.. (0-based), so the entries after
+# it that are >= d shift up by one.
+
+
+def lehmer_unrank(ranks: np.ndarray, length: int) -> np.ndarray:
+    rest = np.asarray(ranks, dtype=np.int64)
+    out = np.empty((rest.size, length), dtype=np.uint8)
+    for i in range(length - 1, -1, -1):
+        rest, digit = np.divmod(rest, length - i)
+        out[:, i] = digit
+        after = out[:, i + 1 :]
+        after += after >= out[:, i : i + 1]
+    out += 1
+    return out
+
+
+# ---------------------------------------------------------------------------
 # count_uncovered_chunk: for a batch of independent random selections over
 # S_{n+1}, count how many patterns have no selected cover.  This is the
 # Monte Carlo inner loop, bit-sliced (Biham, FSE 1997): the trials of a

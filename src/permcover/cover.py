@@ -6,7 +6,9 @@ lambda) member of A.  This module provides the analytic bounds, a
 deterministic greedy baseline, the two randomized constructions
 (random-then-patch at multiplicity 1, and with-replacement sampling plus
 patching for multiplicity >= 2), and an exact branch-and-bound solver for
-the minimum cover size.
+the minimum cover size.  A certificate's ``selected`` covers are
+serialized and parsed as whole arrays (``format_selected`` and
+``parse_selected``), never one rank at a time.
 
 Natural log everywhere.
 """
@@ -21,7 +23,9 @@ import numpy as np
 from . import _kernels
 from .dual import checked_dual, shipped_dual
 from .graph import CoverageGraph, covers_per_pattern, selection_flags
-from .perms import Permutation, format_perm, rank, unrank
+# `rank` is no longer called here, but the per-layer tracer
+# (perfbench/tracing.py) wraps `cover.rank` by name.
+from .perms import parse_perm, rank  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +198,7 @@ class CoverCertificate:
             "status": self.status,
             "size": self.size,
             "lower_bound": self.lower_bound,
-            "selected": [format_perm(unrank(self.n + 1, r).values) for r in self.selected],
+            "selected": format_selected(self.n, self.selected),
             "seed": self.seed,
         }
         if self.initial_size is not None:
@@ -204,19 +208,49 @@ class CoverCertificate:
         return out
 
 
+def format_selected(n: int, ranks) -> list[str]:
+    """The (n+1)-permutations of the given ranks, serialized as
+    ``perms.format_perm`` does, in order.
+
+    All ranks are unranked at once into a digit table
+    (``_kernels.lehmer_unrank``); while n+1 <= 9 the table is decoded as
+    one ASCII string and sliced, and from n+1 = 10 on each row is joined
+    with commas.  Raises ValueError on a rank outside 0..(n+1)!-1.
+    """
+    length = n + 1
+    ranks = np.asarray(ranks, dtype=np.int64)
+    if ranks.size and not (ranks.min() >= 0 and ranks.max() < factorial(length)):
+        raise ValueError(f"ranks must be in 0..{factorial(length) - 1} for length {length}")
+    table = _kernels.lehmer_unrank(ranks, length)
+    if length > 9:
+        return [",".join(map(str, row)) for row in table.tolist()]
+    text = (table + ord("0")).tobytes().decode("ascii")
+    return [text[i : i + length] for i in range(0, len(text), length)]
+
+
 def parse_selected(n: int, selected) -> tuple[int, ...]:
     """Sorted ranks of a serialized ``selected`` list of (n+1)-permutations.
 
+    Each entry is parsed once (``perms.parse_perm``, so either serialized
+    form); the lengths, the permutation property and duplicates are then
+    checked on one (k, n+1) table, which ``_kernels.lehmer_ranks`` ranks.
     Raises ValueError on an entry that is not an (n+1)-permutation or
     that repeats an earlier one.
     """
-    perms = [Permutation.parse(s) for s in selected]
-    if any(p.n != n + 1 for p in perms):
-        raise ValueError(f"selected permutations must have length {n + 1}")
-    ranks = tuple(sorted(rank(p) for p in perms))
-    if len(set(ranks)) != len(ranks):
+    length = n + 1
+    rows = [parse_perm(s) for s in selected]
+    try:
+        table = np.array(rows, dtype=np.int64).reshape(len(rows), length)
+    except ValueError:  # ragged, or every row of another length
+        raise ValueError(f"selected permutations must have length {length}") from None
+    except OverflowError:  # an entry past int64
+        raise ValueError(f"selected entries must be permutations of 1..{length}") from None
+    if (np.sort(table, axis=1) != np.arange(1, length + 1)).any():
+        raise ValueError(f"selected entries must be permutations of 1..{length}")
+    ranks = np.sort(_kernels.lehmer_ranks(table))
+    if (ranks[1:] == ranks[:-1]).any():
         raise ValueError("duplicate selected permutation")
-    return ranks
+    return tuple(ranks.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +263,7 @@ def greedy_cover(g: CoverageGraph, lam: int = 1) -> CoverCertificate:
     picks, remaining = _kernels.greedy_select(g.pattern_rows, g.cover_ranks, lam)
     if remaining:
         raise RuntimeError("greedy could not complete the cover")  # unreachable for valid lam
-    return CoverCertificate(g.n, lam, "greedy", tuple(sorted(int(r) for r in picks)))
+    return CoverCertificate(g.n, lam, "greedy", tuple(np.sort(picks).tolist()))
 
 
 def check_lam(n: int, lam: int):
@@ -258,7 +292,7 @@ def _patch_uncovered(g: CoverageGraph, picks: np.ndarray, lam: int) -> tuple[int
             r = int(row[~flags[row]][0])  # rows are rank-sorted, so this is lowest-rank
             flags[r] = True
             counts[g.pattern_row(r)] += 1
-    return tuple(int(r) for r in np.flatnonzero(flags))
+    return tuple(np.flatnonzero(flags).tolist())
 
 
 def alteration_cover(

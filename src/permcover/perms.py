@@ -85,9 +85,7 @@ def parse_perm(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         raise ValueError("empty permutation string")
-    if "," in text:
-        return tuple(int(part) for part in text.split(","))
-    return tuple(int(ch) for ch in text)
+    return tuple(map(int, text.split(",") if "," in text else text))
 
 
 def rank(p: Permutation | Sequence[int]) -> int:

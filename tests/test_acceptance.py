@@ -14,7 +14,8 @@ any worker count (criterion 11).
 The exact law of the uncovered count at n = 2, 3, 4, by inclusion-exclusion
 over cover masks built from itertools alone, backs the Monte Carlo
 criteria at small n: chi-square tests of sampled histograms against it,
-and `exact_variance` against its variance.
+`exact_variance` against its variance, and the coverage rate of the
+sweep's Wilson intervals against its P(X = 0).
 """
 import functools
 import itertools
@@ -50,12 +51,14 @@ from permcover.threshold import (
     threshold_sweep,
     tv_distance,
     tv_standard_error,
+    wilson_interval,
 )
 
 SWEEP_SEED = 0
 GAP_SEED = 0
 CALIBRATION_SEED = 2026
 EXHAUSTIVE_SEED = 1
+WILSON_SEED = 95
 
 
 def report(number, name, ok, detail=""):
@@ -605,3 +608,33 @@ def test_gap_tv_matches_the_exact_tv(graph, n):
     rep = gap_experiment(graph(n), p, trials, GAP_SEED)
     se = tv_standard_error([float(w) for w in _oracle_law(n, p)], trials)
     assert abs(rep.tv_to_poisson - _exact_tv_to_poisson(n, p)) <= 4 * se
+
+
+def _wilson_coverage(pi, trials):
+    """Exact probability that the Wilson interval of a Binomial(trials, pi)
+    count contains pi."""
+    return sum(comb(trials, s) * pi**s * (1 - pi) ** (trials - s)
+               for s in range(trials + 1)
+               if wilson_interval(s, trials)[0] <= pi <= wilson_interval(s, trials)[1])
+
+
+def test_sweep_wilson_intervals_cover_the_exact_probability(graph):
+    """The sweep's 95% Wilson intervals contain the exact P(X = 0) at n = 4
+    about as often as they should.  Each grid point is its own stream, so a
+    grid repeating each p gives independent intervals.  An interval of 64
+    trials covers with probability c, exact from the binomial law (0.945
+    to 0.948 at these p).  Per p the number that cover is within 4 binomial
+    standard deviations of its expectation, and the pooled rate is within 4
+    of the nominal 0.95."""
+    trials, repeats = 64, 250
+    ps = (critical_window_p(4, 0.0), 0.15, 0.2, 0.25)
+    rows = threshold_sweep(graph(4), sorted(ps * repeats), trials, WILSON_SEED).rows
+    covered = 0
+    for p in ps:
+        pi = float(_oracle_law(4, p)[0])
+        c = _wilson_coverage(pi, trials)
+        hits = sum(r["ci_lo"] <= pi <= r["ci_hi"] for r in rows if r["p"] == p)
+        assert abs(hits - repeats * c) <= 4 * sqrt(repeats * c * (1 - c)), (p, pi, hits, c)
+        covered += hits
+    total = repeats * len(ps)
+    assert abs(covered / total - 0.95) <= 4 * sqrt(0.95 * 0.05 / total), covered

@@ -16,6 +16,7 @@ from permcover.cover import (
     alteration_upper_bound_loose,
     exact_min_cover,
     expected_uncovered_without_replacement,
+    format_selected,
     greedy_cover,
     lambda_cover,
     multicover_upper_bound,
@@ -24,7 +25,7 @@ from permcover.cover import (
     verify_cover,
 )
 from permcover.graph import CoverageGraph
-from permcover.perms import Permutation, rank, reverse, unrank
+from permcover.perms import Permutation, format_perm, rank, reverse, unrank
 
 
 def ranks_of(*strings):
@@ -385,8 +386,23 @@ class TestCertificateSerialization:
             assert cert.lower_bound == pigeonhole_lower_bound(4, cert.lam) < cert.size
 
     def test_parse_selected_is_sorted_and_checked(self):
+        # it accepts what perms.parse_perm accepts: either form, with
+        # surrounding whitespace, and an empty list
         assert parse_selected(3, ["2413", "1234"]) == (0, rank(Permutation.parse("2413")))
-        for bad in (["1234", "1234"], ["123"], ["1134"]):
+        assert parse_selected(2, ["2,1,3"]) == (rank((2, 1, 3)),)
+        assert parse_selected(3, [" 2413\n", "\t1,2,3,4 "]) == (0, rank((2, 4, 1, 3)))
+        assert parse_selected(3, []) == ()
+        for bad in (
+            ["1234", "1234"],
+            ["1234", "4,3,2,1", "1,2,3,4"],  # a duplicate across the two forms
+            ["123"],
+            ["1234", "123"],  # ragged
+            ["1134"],
+            ["0123"],  # values outside 1..4
+            ["1,2,3,99999999999999999999"],  # past int64
+            [""],
+            ["12a4"],
+        ):
             with pytest.raises(ValueError):
                 parse_selected(3, bad)
 
@@ -396,6 +412,49 @@ class TestCertificateSerialization:
         assert doc["selected"] == ["1234", "1432", "2413"]
         assert doc["lambda"] == 1
         assert doc["size"] == 3
+
+    @pytest.mark.parametrize("length", range(1, 8))
+    def test_format_matches_scalar_unrank_every_rank(self, length):
+        # the array unrank and the bulk formatting against the scalar pair
+        ranks = range(factorial(length))
+        want = [format_perm(unrank(length, r).values) for r in ranks]
+        assert format_selected(length - 1, ranks) == want
+        assert parse_selected(length - 1, want) == tuple(ranks)
+
+    @pytest.mark.parametrize("length", [8, 9, 10])
+    def test_format_matches_scalar_unrank_sampled(self, length):
+        # length 10 is the first in the comma form; a certificate at n = 9
+        # needs no graph to serialize
+        rng = np.random.default_rng(length)
+        ranks = np.unique(rng.integers(0, factorial(length), size=2000))
+        ranks = tuple(sorted({0, factorial(length) - 1, *ranks.tolist()}))
+        want = [format_perm(unrank(length, r).values) for r in ranks]
+        doc = CoverCertificate(length - 1, 1, "greedy", ranks).to_json_dict()
+        assert doc["selected"] == want
+        assert ("," in want[0]) == (length >= 10)
+        assert parse_selected(length - 1, want) == ranks
+
+    def test_format_rejects_ranks_out_of_range(self):
+        for bad in (-1, 24):
+            with pytest.raises(ValueError):
+                CoverCertificate(3, 1, "greedy", (bad,)).to_json_dict()
+
+    @pytest.mark.parametrize("method, args, size, digest", [
+        ("greedy", (), 934,
+         "360ef80529d45a54a29234d4785a2601c3116dbe96bb5c3e8c6db126df2e1eba"),
+        ("alteration", (1,), 2267,
+         "99beefe2df25b973ea4f44ba2655e69cdd079bc4bf32366e6cb1077e22576f3d"),
+        ("lambda", (2, 1), 3759,
+         "aa675165782b4b9cd94f0b2fe970f548783ce0f9bce77f497db4f267f6798465"),
+    ])
+    def test_n7_selected_bytes_pinned(self, graph, method, args, size, digest):
+        # sha256 of the newline-joined `selected` strings, recorded when
+        # each entry was still formatted through the scalar unrank
+        build = {"greedy": greedy_cover, "alteration": alteration_cover,
+                 "lambda": lambda_cover}[method]
+        selected = build(graph(7), *args).to_json_dict()["selected"]
+        assert len(selected) == size
+        assert hashlib.sha256("\n".join(selected).encode()).hexdigest() == digest
 
 
 class TestBoundTable:

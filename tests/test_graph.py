@@ -30,6 +30,9 @@ from permcover.perms import (
     unrank,
 )
 
+needs_vmhwm = pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                                 reason="needs Linux VmHWM")
+
 
 def ranks_of(n, *strings):
     return {rank(Permutation.parse(s)) for s in strings}
@@ -522,52 +525,45 @@ class TestPairStats:
         assert int(stats.partners.max()) == max_j
         assert len(stats.four_cover_pairs) == four
 
+    @needs_vmhwm
     def test_n8_memory_peak(self):
         # The build and the pair statistics share the padded pattern table,
-        # so neither copies it.  The bound is on growth over the process's
-        # peak after import: on Linux, Python 3.11, numpy 2.4 the build plus
-        # pair statistics grow it by ~81 MB, and by ~111 MB when the pair
-        # statistics rebuilt the table from a CSR copy.
-        script = (
-            "import resource, sys; sys.path.insert(0, sys.argv[1])\n"
-            "from permcover.graph import build_graph\n"
-            "def peak(): return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
-            "base = peak()\n"
-            "build_graph(8).joint_count_matrix()\n"
-            "print(peak() - base)\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(Path(__file__).resolve().parents[1] / "src")],
-            capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert float(proc.stdout) < 96.0
+        # so neither copies it.  On Linux, Python 3.11, numpy 2.4 the build
+        # plus pair statistics grow the peak after import by ~81 MB, and by
+        # ~111 MB when the pair statistics rebuilt the table from a CSR copy.
+        assert _peak_growth("", "build_graph(8).joint_count_matrix()") < 96.0
 
-    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux VmHWM")
+    @needs_vmhwm
     def test_n7_memory_peak(self):
         # At n = 7 a block of uint16 cover lists and its masks take about
         # 0.5 MB, well inside the build's own transients, so the pair
         # statistics leave the post-build peak alone; int64 tables of every
-        # run (pattern, value, length) raised it by ~18 MB here.  The peak is
-        # the child's VmHWM, not ru_maxrss: on Linux a child's ru_maxrss
-        # starts at its parent's peak, here the whole test session's.
-        script = (
-            "import re, sys; sys.path.insert(0, sys.argv[1])\n"
-            "from permcover.graph import build_graph\n"
-            "def peak():\n"
-            "    status = open('/proc/self/status').read()\n"
-            "    return int(re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1)) / 1024\n"
-            "g = build_graph(7)\n"
-            "base = peak()\n"
-            "g.joint_count_matrix()\n"
-            "print(peak() - base)\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(Path(__file__).resolve().parents[1] / "src")],
-            capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert float(proc.stdout) < 2.0
+        # run (pattern, value, length) raised it by ~18 MB here.
+        assert _peak_growth("g = build_graph(7)", "g.joint_count_matrix()") < 2.0
+
+
+def _peak_growth(setup, statement):
+    """MB by which ``statement`` raises a fresh child's peak RSS after
+    ``setup``.  The peak is the child's VmHWM, not ru_maxrss: on Linux a
+    child's ru_maxrss starts at its parent's peak, under pytest the whole
+    test session's, which would hide the growth."""
+    script = (
+        "import re, sys; sys.path.insert(0, sys.argv[1])\n"
+        "from permcover.graph import build_graph\n"
+        "def peak():\n"
+        "    status = open('/proc/self/status').read()\n"
+        "    return int(re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1)) / 1024\n"
+        f"{setup}\n"
+        "base = peak()\n"
+        f"{statement}\n"
+        "print(peak() - base)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(Path(__file__).resolve().parents[1] / "src")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return float(proc.stdout)
 
 
 def _cover_table(covers, n_patterns):

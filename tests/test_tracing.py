@@ -69,3 +69,31 @@ def test_tracer_times_the_pair_statistics_once_per_gap_job(tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tracer_sees_a_cache_hit_ranked_by_the_kernel(tmp_path):
+    # A cache hit parses the stored `selected` list into one table that
+    # `_kernels.lehmer_ranks` ranks, inside the load's span; a parser that
+    # went back to the scalar `cover.rank` would count one
+    # `perms.rank_calls` per cover (2267 here) without failing a run.
+    script = (
+        "import sys; sys.path[:0] = sys.argv[1:3]; "
+        "import tracing; tracer = tracing.install(); "
+        "from permcover.cli import dispatch\n"
+        "argv = ['--quiet', '--cache-dir', sys.argv[3], 'solve', '--n', '7', "
+        "'--method', 'alteration', '--seed', '1']\n"
+        "assert dispatch(argv) == 0\n"
+        "with tracer.job(0):\n"
+        "    code = dispatch(argv)\n"
+        "assert code == 0, code\n"
+        "assert tracer.counts['cache.hits'] == 1, tracer.counts\n"
+        "assert tracer.counts['perms.rank_calls'] == 0, tracer.counts\n"
+        "assert any(s.name == '_kernels.lehmer_ranks' "
+        "and s.parent.name == 'cache.load_certificate' for s in tracer.spans)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(ROOT / "src"), str(ROOT / "perfbench"),
+         str(tmp_path / "cache")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
