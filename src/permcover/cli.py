@@ -4,7 +4,10 @@ Verbs: solve, lambda (alias for solve --method lambda), graph, threshold,
 gap, bounds.  Human-readable summaries go to stdout (suppress with
 --quiet); machine payloads go to --out as JSON envelopes or CSV.
 
-Exit codes: 0 success; 1 verification/audit violation; 2 usage error;
+One exit path: a verb's handler computes and returns a `Result`; only
+`dispatch` times it, writes the output, prints the summary and returns the
+exit code: 0 success; 1 verification/audit violation (output still
+written); 2 usage error, from argparse or else "invalid arguments: ...";
 3 resource limit exceeded.
 
 Configuration precedence: flags > environment (PERMCOVER_CACHE,
@@ -28,6 +31,7 @@ import time
 import warnings
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,56 +111,55 @@ def _positive_finite(name: str):
     return number
 
 
-def _say(args, message: str):
-    if not args.quiet:
-        print(message)
+class Result(NamedTuple):
+    """What a handler hands back to `dispatch`, which times, writes and exits."""
+
+    config: dict  # the echoed configuration
+    output: dict | list[dict]  # an envelope's payload, or CSV rows
+    notes: list[str]  # the envelope's warnings, or CSV comment lines
+    summary: list[str]  # stdout lines, the last of which `dispatch` ends with the time
+    code: int = 0
+    error: str = ""  # the stderr line of an exit 1
 
 
-def _write_envelope(args, config: dict, payload: dict, warnings_list: list[str],
-                    wall_ms: float):
-    envelope = {
-        "tool": "permcover",
-        "version": __version__,
-        "subcommand": config["subcommand"],
-        "config": config,
-        "execution": {
-            "created_utc": datetime.now(timezone.utc).isoformat(),
-            "wall_time_ms": wall_ms,
-            "workers": args.workers,
-            "numpy": np.__version__,
-        },
-        "warnings": warnings_list,
-        "payload": payload,
-    }
-    # allow_nan=False: a NaN or Infinity is not JSON and must not reach a payload
-    text = json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False)
-    _write_out(args, text + "\n")
-
-
-def _write_csv(args, config: dict, rows: list[dict], comments: list[str]):
-    """CSV led by a version line, the echoed config and ``comments``; the
-    columns are the keys of the first of the (non-empty) ``rows``, in order."""
-    lines = [
-        f"# permcover {__version__} {config['subcommand']}",
-        "# config: " + json.dumps(config, sort_keys=True, allow_nan=False),
-        *(f"# {c}" for c in comments),
-        ",".join(rows[0]),
-    ]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[col]) for col in rows[0]))
-    _write_out(args, "\n".join(lines) + "\n")
-
-
-def _write_out(args, text: str):
-    """Write ``text`` to --out when given.  A path that cannot be written
-    is a usage error (exit 2), reported on one line."""
-    if not args.out:
-        return
-    try:
-        Path(args.out).write_text(text)
-    except OSError as exc:
-        raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
-    _say(args, f"wrote {args.out}")
+def _write(args, result: Result, wall_ms: float):
+    """Write ``result`` to --out, if given, as an envelope around a payload
+    dict or as CSV led by a version line, the config and the notes.  The
+    text is built either way, so a NaN or Infinity is an error without
+    --out too; an --out that cannot be written is a usage error."""
+    config, output = result.config, result.output
+    if isinstance(output, dict):
+        envelope = {
+            "tool": "permcover",
+            "version": __version__,
+            "subcommand": config["subcommand"],
+            "config": config,
+            "execution": {
+                "created_utc": datetime.now(timezone.utc).isoformat(),
+                "wall_time_ms": wall_ms,
+                "workers": args.workers,
+                "numpy": np.__version__,
+            },
+            "warnings": result.notes,
+            "payload": output,
+        }
+        # allow_nan=False: a NaN or Infinity is not JSON and must not reach a payload
+        text = json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False)
+    else:
+        lines = [
+            f"# permcover {__version__} {config['subcommand']}",
+            "# config: " + json.dumps(config, sort_keys=True, allow_nan=False),
+            *(f"# {c}" for c in result.notes),
+            ",".join(output[0]),
+        ]
+        for row in output:
+            lines.append(",".join(_csv_cell(row[col]) for col in output[0]))
+        text = "\n".join(lines)
+    if args.out:
+        try:
+            Path(args.out).write_text(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
 
 
 def _csv_cell(value) -> str:
@@ -171,27 +174,23 @@ def _csv_cell(value) -> str:
 # Subcommand handlers
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> Result:
     method = args.method
     lam = args.lam
     if method == "lambda" and lam < 2:
-        print("solve --method lambda requires --lambda >= 2", file=sys.stderr)
-        return 2
+        raise ValueError("solve --method lambda requires --lambda >= 2")
     if method == "alteration" and lam != 1:
-        print("alteration builds multiplicity-1 covers", file=sys.stderr)
-        return 2
+        raise ValueError("alteration builds multiplicity-1 covers")
     check_lam(args.n, lam)
     if method in ("alteration", "lambda") and args.seed is None:
-        print(f"--method {method} requires --seed", file=sys.stderr)
-        return 2
+        raise ValueError(f"--method {method} requires --seed")
     if method in ("exact", "greedy") and args.initial_size is not None:
-        print(f"--method {method} takes no --initial-size", file=sys.stderr)
-        return 2
+        raise ValueError(f"--method {method} takes no --initial-size")
     seed = args.seed if method in ("alteration", "lambda") else None
 
-    t0 = time.perf_counter()
     g = build_graph(args.n, max_n=args.max_n)
     notes: list[str] = []
+    summary: list[str] = []
 
     # A request with its own initial size neither reads nor writes the
     # cache: the key names only the method's default.
@@ -204,7 +203,7 @@ def _cmd_solve(args) -> int:
             cert = load_certificate(args.cache_dir, g, lam, method, seed)
         notes.extend(str(w.message) for w in caught)
         if cert is not None:
-            _say(args, f"cache hit: {args.cache_dir}")
+            summary.append(f"cache hit: {args.cache_dir}")
 
     if cert is None:
         if method == "exact":
@@ -215,12 +214,10 @@ def _cmd_solve(args) -> int:
             cert = alteration_cover(g, seed, initial_size=args.initial_size)
         else:
             cert = lambda_cover(g, lam, seed, draws=args.initial_size)
-        # store_certificate keeps an exact result only when its dual proves it
-        if use_cache:
-            store_certificate(args.cache_dir, cert)
         deficient = len(verify_cover(g, cert.selected, lam).deficiencies)
-    verified = deficient == 0
-    wall_ms = (time.perf_counter() - t0) * 1000.0
+        # store_certificate keeps an exact result only when its dual proves it
+        if use_cache and not deficient:
+            store_certificate(args.cache_dir, cert)
 
     config = {
         "subcommand": "solve",
@@ -232,21 +229,16 @@ def _cmd_solve(args) -> int:
         "initial_size": args.initial_size,
     }
     payload = cert.to_json_dict()
-    payload["verified"] = verified
-    _write_envelope(args, config, payload, notes, wall_ms)
-    _say(
-        args,
+    payload["verified"] = not deficient
+    summary.append(
         f"solve n={cert.n} lambda={cert.lam} method={cert.method}: size={cert.size} "
-        f"status={cert.status} lower_bound={cert.lower_bound} verified={verified}",
+        f"status={cert.status} lower_bound={cert.lower_bound} verified={not deficient}"
     )
-    if not verified:
-        print(f"verification FAILED: {deficient} deficient patterns", file=sys.stderr)
-        return 1
-    return 0
+    failed = f"verification FAILED: {deficient} deficient patterns" if deficient else ""
+    return Result(config, payload, notes, summary, 1 if deficient else 0, failed)
 
 
-def _cmd_graph(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_graph(args) -> Result:
     g = build_graph(args.n, max_n=args.max_n)
     # Build-time identity checks (cover counts, succession identity,
     # double counts) are enforced during construction; reaching here means
@@ -259,33 +251,24 @@ def _cmd_graph(args) -> int:
         "incidence_total": int(np.count_nonzero(g.pattern_rows < g.n_patterns)),
     }
     payload: dict = {"n": g.n, "identity": identity}
-    violating = False
-    if args.audit:
-        report = audit_joint_coverage(g)
-        payload.update(report.to_payload())
-        violating = bool(report.violations) or not report.bounds_ok
-    wall_ms = (time.perf_counter() - t0) * 1000.0
     config = {
         "subcommand": "graph",
         "n": args.n,
         "audit": args.audit,
     }
-    _write_envelope(args, config, payload, [], wall_ms)
-    if args.audit:
-        _say(
-            args,
-            f"graph n={g.n}: max_J={payload['max_J']} max_C={payload['max_C']} "
-            f"four_cover_pairs={payload['four_cover_pair_count']} "
-            f"adjacent_swap_iff_holds={payload['adjacent_swap_iff_holds']} "
-            f"violations={len(payload['violations'])}",
-        )
-    else:
-        _say(args, f"graph n={g.n}: built, identities hold")
-    return 1 if violating else 0
+    if not args.audit:
+        return Result(config, payload, [], [f"graph n={g.n}: built, identities hold"])
+    payload.update(audit_joint_coverage(g).to_payload())
+    summary = (
+        f"graph n={g.n}: max_J={payload['max_J']} max_C={payload['max_C']} "
+        f"four_cover_pairs={payload['four_cover_pair_count']} "
+        f"adjacent_swap_iff_holds={payload['adjacent_swap_iff_holds']} "
+        f"violations={len(payload['violations'])}"
+    )
+    return Result(config, payload, [], [summary], 1 if payload["violations"] else 0)
 
 
-def _cmd_threshold(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_threshold(args) -> Result:
     g = build_graph(args.n, max_n=args.max_n)
     grid = np.linspace(args.pmin, args.pmax, args.steps)
     report = threshold_sweep(
@@ -296,7 +279,6 @@ def _cmd_threshold(args) -> int:
         omega_ref=args.omega,
         workers=args.workers,
     )
-    wall_ms = (time.perf_counter() - t0) * 1000.0
     config = {
         "subcommand": "threshold",
         "n": args.n,
@@ -311,42 +293,34 @@ def _cmd_threshold(args) -> int:
         f"p_zero(omega={args.omega})={_csv_cell(report.p_zero)}",
         f"p_one(omega={args.omega})={_csv_cell(report.p_one)}",
     ]
-    _write_csv(args, config, report.rows, comments)
     boundaries = (
         f"; boundaries p_zero={report.p_zero:.6f} p_one={report.p_one:.6f}"
         if report.p_zero is not None
         else ""
     )
-    _say(
-        args,
+    summary = (
         f"threshold n={g.n}: {args.steps} points x {args.trials} trials; "
-        f"phat {report.rows[0]['phat']:.4f} -> {report.rows[-1]['phat']:.4f}"
-        f"{boundaries} ({wall_ms:.0f} ms)",
+        f"phat {report.rows[0]['phat']:.4f} -> {report.rows[-1]['phat']:.4f}{boundaries}"
     )
-    return 0
+    return Result(config, report.rows, comments, [summary])
 
 
-def _cmd_gap(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_gap(args) -> Result:
     g = build_graph(args.n, max_n=args.max_n)
     if args.K is not None:
         p = critical_window_p(args.n, args.K)
-        k_nominal = args.K
     elif args.lambda_target is not None:
         p = p_for_mean(args.n, args.lambda_target)
-        k_nominal = None
     else:
         p = args.p
-        k_nominal = None
     report = gap_experiment(
         g,
         p,
         args.trials,
         args.seed,
-        K_nominal=k_nominal,
+        K_nominal=args.K,
         workers=args.workers,
     )
-    wall_ms = (time.perf_counter() - t0) * 1000.0
     config = {
         "subcommand": "gap",
         "n": args.n,
@@ -356,20 +330,17 @@ def _cmd_gap(args) -> int:
         "trials": args.trials,
         "seed": args.seed,
     }
-    _write_envelope(args, config, report.to_payload(), report.warnings, wall_ms)
-    _say(
-        args,
+    summary = (
         f"gap n={g.n} p={p:.6f}: lambda_exact={report.lambda_exact:.4f} "
         f"empirical_mean={report.empirical_mean:.4f} tv={report.tv_to_poisson:.4f} "
-        f"cover_prob={report.cover_probability.estimate:.4f} ({wall_ms:.0f} ms)",
+        f"cover_prob={report.cover_probability.estimate:.4f}"
     )
-    return 0
+    return Result(config, report.to_payload(), report.warnings, [summary])
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> Result:
     if args.n_max < args.n_min:
         raise ValueError("--n-min..--n-max must be a non-empty range")
-    t0 = time.perf_counter()
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         table = BoundTable.evaluate(n, args.lam)
@@ -386,31 +357,21 @@ def _cmd_bounds(args) -> int:
                 "best_known_status": None if known is None else known[1],
             }
         )
-    wall_ms = (time.perf_counter() - t0) * 1000.0
     config = {
         "subcommand": "bounds",
         "n_min": args.n_min,
         "n_max": args.n_max,
         "lambda": args.lam,
     }
-    _write_csv(args, config, rows, [])
+    summary = []
     for row in rows:
-        _say(
-            args,
-            f"n={row['n']}: lower={row['pigeonhole_lower']}"
-            + (
-                f" alteration_upper={row['alteration_upper']:.2f}"
-                if row["alteration_upper"] is not None
-                else ""
-            )
-            + (
-                f" best_known={row['best_known_size']} ({row['best_known_status']})"
-                if row["best_known_size"] is not None
-                else ""
-            ),
-        )
-    _say(args, f"bounds evaluated in {wall_ms:.0f} ms")
-    return 0
+        line = f"n={row['n']}: lower={row['pigeonhole_lower']}"
+        if row["alteration_upper"] is not None:
+            line += f" alteration_upper={row['alteration_upper']:.2f}"
+        if row["best_known_size"] is not None:
+            line += f" best_known={row['best_known_size']} ({row['best_known_status']})"
+        summary.append(line)
+    return Result(config, rows, [], summary)
 
 
 # ---------------------------------------------------------------------------
@@ -434,26 +395,23 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"enumeration limit (default: PERMCOVER_MAX_N or {DEFAULT_MAX_N})")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    solve = sub.add_parser("solve", help="build or prove a cover certificate")
-    solve.add_argument("--n", type=int, required=True)
-    solve.add_argument("--lambda", dest="lam", type=int, default=1)
+    # lambda is solve with its method fixed: both take these arguments
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--n", type=int, required=True)
+    shared.add_argument("--lambda", dest="lam", type=int, default=1)
+    shared.add_argument("--seed", type=int, default=None)
+    shared.add_argument("--initial-size", type=int, default=None,
+                        help="override the randomized constructions' initial sample size")
+    shared.add_argument("--no-cache", action="store_true")
+    shared.add_argument("--out", default=None, help="write the result envelope JSON here")
+
+    solve = sub.add_parser("solve", parents=[shared], help="build or prove a cover certificate")
     solve.add_argument("--method", choices=METHODS, required=True)
-    solve.add_argument("--seed", type=int, default=None)
     solve.add_argument("--budget", type=_positive_finite("time_budget"), default=60.0,
                        help="time budget in seconds for --method exact")
-    solve.add_argument("--initial-size", type=int, default=None,
-                       help="override the randomized constructions' initial sample size")
-    solve.add_argument("--no-cache", action="store_true")
-    solve.add_argument("--out", default=None, help="write the result envelope JSON here")
     solve.set_defaults(handler=_cmd_solve)
 
-    lam = sub.add_parser("lambda", help="shorthand for solve --method lambda")
-    lam.add_argument("--n", type=int, required=True)
-    lam.add_argument("--lambda", dest="lam", type=int, required=True)
-    lam.add_argument("--seed", type=int, required=True)
-    lam.add_argument("--initial-size", type=int, default=None)
-    lam.add_argument("--no-cache", action="store_true")
-    lam.add_argument("--out", default=None)
+    lam = sub.add_parser("lambda", parents=[shared], help="shorthand for solve --method lambda")
     lam.set_defaults(handler=_cmd_solve, method="lambda")
 
     graph = sub.add_parser("graph", help="build the coverage graph and audit it")
@@ -500,19 +458,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    t0 = time.perf_counter()
     try:
-        return args.handler(args)
+        result = args.handler(args)
+        wall_ms = (time.perf_counter() - t0) * 1000.0
+        _write(args, result, wall_ms)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return 2
+    if not args.quiet:  # the last line ends with the run's time
+        wrote = [f"wrote {args.out}"] if args.out else []
+        print(*wrote, *result.summary, sep="\n", end=f" ({wall_ms:.0f} ms)\n")
+    if result.error:
+        print(result.error, file=sys.stderr)
+    return result.code
 
 
 def main():  # pragma: no cover - thin wrapper

@@ -39,6 +39,9 @@ numpy 2.4, 2 cores).  The pair statistics then take ~0.18 s in blocks of
 with build_graph's ``max_n`` (the CLI's --max-n or PERMCOVER_MAX_N).
 """
 
+# Counterexamples of each kind that an audit lists.
+_MAX_REPORTED = 20
+
 
 def covers_per_pattern(n: int) -> int:
     """Number of (n+1)-permutations containing a fixed n-pattern: n^2 + 1."""
@@ -252,7 +255,7 @@ def _adjacent_swap_pairs(n: int):
     return np.sort(keys[lower]), np.sort(keys[lower & consecutive])
 
 
-def audit_joint_coverage(g: CoverageGraph, *, max_reported: int = 20) -> JointReport:
+def audit_joint_coverage(g: CoverageGraph) -> JointReport:
     """Audit the pairwise joint-coverage structure of the graph.
 
     Exhaustive over all ordered pattern pairs, from the graph's sparse pair
@@ -284,7 +287,7 @@ def audit_joint_coverage(g: CoverageGraph, *, max_reported: int = 20) -> JointRe
 
     if not holds:
         extra = np.setdiff1d(four_keys, position_keys, assume_unique=True)
-        for key in extra[:max_reported].tolist():
+        for key in extra[:_MAX_REPORTED].tolist():
             a, b = divmod(key, g.n_patterns)
             violations.append(
                 {
@@ -293,7 +296,7 @@ def audit_joint_coverage(g: CoverageGraph, *, max_reported: int = 20) -> JointRe
                 }
             )
         missing = np.setdiff1d(position_keys, four_keys, assume_unique=True)
-        for key in missing[:max_reported].tolist():
+        for key in missing[:_MAX_REPORTED].tolist():
             a, b = divmod(key, g.n_patterns)
             violations.append(
                 {

@@ -38,6 +38,9 @@ from .graph import CoverageGraph, covers_per_pattern, selection_flags
 
 Z95 = 1.959963984540054
 
+# Poisson mass the truncated reference may leave out (see poisson_k_max).
+_POISSON_TAIL_TOL = 1e-12
+
 # Trials per chunk, the unit of work a pool thread runs: four 64-trial
 # blocks.  It must stay a multiple of 64, so a chunk never splits a block
 # and the chunk size never changes which stream a trial's lane comes from.
@@ -285,17 +288,17 @@ def poisson_pmf(lam: float, k_max: int) -> tuple[np.ndarray, float]:
     return out, max(0.0, 1.0 - float(out.sum()))
 
 
-def poisson_k_max(lam: float, tail_tol: float = 1e-12) -> int:
-    """Smallest k_max whose truncated Poisson tail is below tail_tol.
+def poisson_k_max(lam: float) -> int:
+    """Smallest k_max whose truncated Poisson tail is below _POISSON_TAIL_TOL.
 
     Past the mode the tail is also bounded by term * lam / (k + 1 - lam),
-    since at large lam the summed terms' rounding can exceed tail_tol."""
+    since at large lam the summed terms' rounding can exceed the tolerance."""
     if lam < 0:
         raise ValueError("lam must be >= 0")
     k, term = _poisson_start(lam)
     cum = term
-    while 1.0 - cum > tail_tol:
-        if k + 1 > lam and term * lam / (k + 1 - lam) <= tail_tol:
+    while 1.0 - cum > _POISSON_TAIL_TOL:
+        if k + 1 > lam and term * lam / (k + 1 - lam) <= _POISSON_TAIL_TOL:
             break
         k += 1
         term *= lam / k
@@ -347,7 +350,6 @@ def _run_chunk(g: CoverageGraph, p: float, master_seed: int, stream: int,
     words = np.empty((len(blocks), g.n_covers), dtype=np.uint64)
     for row, b in zip(words, blocks):
         row[:] = _bernoulli_words(g.n_covers, p, trial_rng(master_seed, b, stream))
-    words[-1] &= np.uint64(2 ** (stop - 64 * blocks[-1]) - 1)  # lanes past `stop`
     x = _kernels.count_uncovered_chunk(g.cover_ranks, words, stop - start)
     return np.bincount(x, minlength=g.n_patterns + 1)
 

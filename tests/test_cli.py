@@ -1,5 +1,9 @@
+import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 import threading
 import warnings
 from pathlib import Path
@@ -648,6 +652,17 @@ class TestSolveCache:
         assert not out.exists()
         assert "time_budget must be positive" in capsys.readouterr().err
 
+    def test_failed_verification_is_not_stored(self, tmp_path, monkeypatch, capsys):
+        # a construction that returns a non-cover must not reach the cache,
+        # where the next run would quarantine it
+        def non_cover(g, seed, initial_size=None):
+            return CoverCertificate(g.n, 1, "alteration", (0,), seed=seed,
+                                    initial_size=alteration_default_initial_size(g.n))
+        monkeypatch.setattr(cli, "alteration_cover", non_cover)
+        assert run(tmp_path, "solve", "--n", "4", "--method", "alteration", "--seed", "3") == 1
+        assert "verification FAILED" in capsys.readouterr().err
+        assert not list((tmp_path / "cache").glob("*.json"))
+
     def test_timed_out_exact_is_not_stored(self, tmp_path):
         code, doc = solve_payload(tmp_path, "exact5", "--n", "5", "--method", "exact",
                                   "--budget", "0.05")
@@ -722,3 +737,77 @@ class TestSolveCache:
         assert code == 0
         assert env["payload"]["initial_size"] == alteration_default_initial_size(4)
         assert any("initial_size 0 is not the default" in w for w in env["warnings"])
+
+
+def envelope_digest(path: Path) -> str:
+    """sha256 of an envelope without its volatile `execution` block.  The
+    file must be the canonical dump of what it holds, so the digest pins
+    its bytes."""
+    text = path.read_text()
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    del doc["execution"]
+    return hashlib.sha256(json.dumps(doc, indent=2, sort_keys=True).encode()).hexdigest()
+
+
+# Each verb's --out, run in this order over one cache directory: the exit
+# code, the arguments and the sha256 of the output (envelopes without
+# `execution`, CSV whole); "alteration5-entry" is the cache file the
+# alteration miss stores.
+PINNED_RUNS = [
+    ("exact4", 0, ("solve", "--n", "4", "--method", "exact")),
+    ("greedy5", 0, ("solve", "--n", "5", "--method", "greedy")),
+    ("alteration5-miss", 0, ("solve", "--n", "5", "--method", "alteration", "--seed", "1")),
+    ("alteration5-hit", 0, ("solve", "--n", "5", "--method", "alteration", "--seed", "1")),
+    ("lambda4", 0, ("lambda", "--n", "4", "--lambda", "2", "--seed", "1")),
+    ("graph4", 0, ("graph", "--n", "4")),
+    ("audit4", 1, ("graph", "--n", "4", "--audit")),
+    ("threshold4", 0, ("threshold", "--n", "4", "--pmin", "0.1", "--pmax", "0.5",
+                       "--steps", "3", "--trials", "200", "--seed", "5")),
+    ("gap4", 0, ("gap", "--n", "4", "--K=0", "--trials", "256", "--seed", "2")),
+    ("bounds5", 0, ("bounds", "--n-max", "5")),
+]
+PINS = {
+    "exact4": "12de291ecce9c28b531fe9c6de1c03573cb0bce525698053cc3263560c2960b7",
+    "greedy5": "fa1ce0b3a927be6919b6be08997bfd93154ae62147fcb8d89fb7284d942a9df1",
+    "alteration5-miss": "01f5a86a765f410bd1404be11a8ca6d2f319cd0070aa872e028261157b33af95",
+    "alteration5-entry": "fc580d100c4939bc5ee81790e5999e5a15267f20581c719873f1aedc23518d38",
+    "alteration5-hit": "01f5a86a765f410bd1404be11a8ca6d2f319cd0070aa872e028261157b33af95",
+    "lambda4": "84146812d3af93947762b228cb5b6463f51bdb5bfa6c7edafbb679e3f6018125",
+    "graph4": "bccd93d400be5bf6abfd3667a338c57463a49a9654883a0026f3b620c352b107",
+    "audit4": "2f885a3c2caaa18e60d07b2df6069af7543c1443aa367b721c4ed5ee85a69190",
+    "threshold4": "177e47515de903c5368fb3a11d5b3272290654c95aad01f556c2b68d6d28081b",
+    "gap4": "b902903ed28d4ce402c3f88231d66830c66e1151885abc0c8cc13fe04cef37d2",
+    "bounds5": "d86838827554cd3f566a4fdc04a900a11acb2d56b1942f34ad60eacd3d98309c",
+}
+
+
+def test_every_verb_output_is_pinned(tmp_path):
+    digests = {}
+    for name, code, argv in PINNED_RUNS:
+        out = tmp_path / f"{name}.out"
+        assert run(tmp_path, "--quiet", *argv, "--out", str(out)) == code, name
+        csv = argv[0] in ("threshold", "bounds")
+        digests[name] = (hashlib.sha256(out.read_bytes()).hexdigest() if csv
+                         else envelope_digest(out))
+        if name == "alteration5-miss":
+            stored = entry(tmp_path, "5-1-alteration-1").read_bytes()
+            digests["alteration5-entry"] = hashlib.sha256(stored).hexdigest()
+    assert digests == PINS
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("graph", "--n", "3"), 0),
+    (("graph", "--n", "3", "--audit"), 1),
+    (("solve", "--n", "3"), 2),
+    (("graph", "--n", "9"), 3),
+], ids=["ok", "violation", "usage", "resource-limit"])
+def test_module_entry_point_exit_codes(tmp_path, argv, code):
+    # `python -m permcover.cli` runs main(), which hands dispatch's code to sys.exit
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "permcover.cli", "--quiet", "--cache-dir",
+         str(tmp_path / "cache"), *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
