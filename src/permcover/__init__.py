@@ -9,7 +9,6 @@ __version__ = "0.1.0"  # the one place it is set; pyproject.toml reads it
 
 from ._kernels import BACKEND
 from .cover import (
-    BoundTable,
     CoverCertificate,
     VerifyResult,
     alteration_cover,
@@ -44,7 +43,6 @@ from .perms import (
 )
 from .threshold import (
     GapReport,
-    SweepReport,
     count_uncovered,
     critical_window_p,
     exact_mean,
@@ -63,14 +61,12 @@ from .threshold import (
 
 __all__ = [
     "BACKEND",
-    "BoundTable",
     "CoverCertificate",
     "CoverageGraph",
     "GapReport",
     "JointReport",
     "Permutation",
     "ResourceLimitError",
-    "SweepReport",
     "VerifyResult",
     "alteration_cover",
     "alteration_upper_bound",

@@ -11,9 +11,9 @@ written); 2 usage error, from argparse or else "invalid arguments: ...";
 3 resource limit exceeded.
 
 Configuration precedence: flags > environment (PERMCOVER_CACHE,
-PERMCOVER_MAX_N, PERMCOVER_WORKERS) > built-in defaults.  The variables are
-read here, as the parser's defaults, and only here: a bad value is a usage
-error before any work, and the library reads no environment.
+PERMCOVER_MAX_N, PERMCOVER_WORKERS) > built-in defaults.  `dispatch` reads
+the variables on each call, into the defaults of a parser built once, and
+nothing else reads them: a bad value is a usage error before any work.
 
 Envelope layout: the scientific payload is reproducible bit-for-bit from
 the echoed config (same seeds, any worker count); volatile run facts
@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+import threading
 import time
 import warnings
 from datetime import datetime, timezone
@@ -44,12 +45,15 @@ from .cache import (
 )
 from .cover import (
     METHODS,
-    BoundTable,
     alteration_cover,
+    alteration_upper_bound,
+    alteration_upper_bound_loose,
     check_lam,
     exact_min_cover,
     greedy_cover,
     lambda_cover,
+    multicover_upper_bound,
+    pigeonhole_lower_bound,
     verify_cover,
 )
 from .errors import ResourceLimitError
@@ -58,6 +62,7 @@ from .threshold import (
     critical_window_p,
     gap_experiment,
     p_for_mean,
+    threshold_boundaries,
     threshold_sweep,
 )
 
@@ -270,15 +275,9 @@ def _cmd_graph(args) -> Result:
 
 def _cmd_threshold(args) -> Result:
     g = build_graph(args.n, max_n=args.max_n)
+    p_zero, p_one = threshold_boundaries(g.n, args.omega) if g.n >= 2 else (None, None)
     grid = np.linspace(args.pmin, args.pmax, args.steps)
-    report = threshold_sweep(
-        g,
-        grid,
-        args.trials,
-        args.seed,
-        omega_ref=args.omega,
-        workers=args.workers,
-    )
+    rows = threshold_sweep(g, grid, args.trials, args.seed, workers=args.workers)
     config = {
         "subcommand": "threshold",
         "n": args.n,
@@ -290,19 +289,17 @@ def _cmd_threshold(args) -> Result:
         "omega": args.omega,
     }
     comments = [
-        f"p_zero(omega={args.omega})={_csv_cell(report.p_zero)}",
-        f"p_one(omega={args.omega})={_csv_cell(report.p_one)}",
+        f"p_zero(omega={args.omega})={_csv_cell(p_zero)}",
+        f"p_one(omega={args.omega})={_csv_cell(p_one)}",
     ]
     boundaries = (
-        f"; boundaries p_zero={report.p_zero:.6f} p_one={report.p_one:.6f}"
-        if report.p_zero is not None
-        else ""
+        f"; boundaries p_zero={p_zero:.6f} p_one={p_one:.6f}" if p_zero is not None else ""
     )
     summary = (
         f"threshold n={g.n}: {args.steps} points x {args.trials} trials; "
-        f"phat {report.rows[0]['phat']:.4f} -> {report.rows[-1]['phat']:.4f}{boundaries}"
+        f"phat {rows[0]['phat']:.4f} -> {rows[-1]['phat']:.4f}{boundaries}"
     )
-    return Result(config, report.rows, comments, [summary])
+    return Result(config, rows, comments, [summary])
 
 
 def _cmd_gap(args) -> Result:
@@ -341,27 +338,33 @@ def _cmd_gap(args) -> Result:
 def _cmd_bounds(args) -> Result:
     if args.n_max < args.n_min:
         raise ValueError("--n-min..--n-max must be a non-empty range")
+    lam = args.lam
     rows = []
     for n in range(args.n_min, args.n_max + 1):
-        table = BoundTable.evaluate(n, args.lam)
-        known = best_known_size(args.cache_dir, n, args.lam, max_n=args.max_n)
-        rows.append(
-            {
+        try:
+            row = {
                 "n": n,
-                "lambda": args.lam,
-                "pigeonhole_lower": table.pigeonhole_lower,
-                "alteration_upper": table.alteration_upper,
-                "alteration_upper_n2": table.alteration_upper_n2,
-                "multicover_upper": table.multicover_upper,
-                "best_known_size": None if known is None else known[0],
-                "best_known_status": None if known is None else known[1],
+                "lambda": lam,
+                "pigeonhole_lower": pigeonhole_lower_bound(n, lam),
+                "alteration_upper": alteration_upper_bound(n) if n >= 2 else None,
+                "alteration_upper_n2": alteration_upper_bound_loose(n) if n >= 2 else None,
+                "multicover_upper": (
+                    multicover_upper_bound(n, lam) if lam >= 2 and n >= 3 else None
+                ),
             }
-        )
+        except OverflowError:  # (n+1)!/(n^2+1) from n = 172 on
+            row = None
+        if row is None or math.inf in row.values():
+            raise ValueError(f"the bounds at n={n} exceed the largest float")
+        known = best_known_size(args.cache_dir, n, lam, max_n=args.max_n)
+        row["best_known_size"] = None if known is None else known[0]
+        row["best_known_status"] = None if known is None else known[1]
+        rows.append(row)
     config = {
         "subcommand": "bounds",
         "n_min": args.n_min,
         "n_max": args.n_max,
-        "lambda": args.lam,
+        "lambda": lam,
     }
     summary = []
     for row in rows:
@@ -386,12 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"permcover {__version__}")
     parser.add_argument("--quiet", action="store_true", help="suppress the stdout summary")
-    parser.add_argument("--workers", type=_workers, default=_env("PERMCOVER_WORKERS", 1),
+    # `dispatch` sets the defaults of these three from the environment
+    parser.add_argument("--workers", type=_workers,
                         help="worker threads for Monte Carlo, >= 1 (default: PERMCOVER_WORKERS or 1)")
-    parser.add_argument("--cache-dir", default=_env("PERMCOVER_CACHE", DEFAULT_CACHE_DIR),
+    parser.add_argument("--cache-dir",
                         help="certificate cache directory (default: PERMCOVER_CACHE or ./permcover-cache)")
     parser.add_argument("--max-n", type=_typed(int),
-                        default=_env("PERMCOVER_MAX_N", DEFAULT_MAX_N),
                         help=f"enumeration limit (default: PERMCOVER_MAX_N or {DEFAULT_MAX_N})")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -457,11 +460,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+_PARSER_LOCK = threading.Lock()  # a parse reads the defaults set just before it
+
+
 def dispatch(argv) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    # read on every call: the environment may change between calls, and a flag wins
+    with _PARSER_LOCK:
+        _PARSER.set_defaults(
+            workers=_env("PERMCOVER_WORKERS", 1),
+            cache_dir=_env("PERMCOVER_CACHE", DEFAULT_CACHE_DIR),
+            max_n=_env("PERMCOVER_MAX_N", DEFAULT_MAX_N),
+        )
+        try:
+            args = _PARSER.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     t0 = time.perf_counter()
     try:
         result = args.handler(args)

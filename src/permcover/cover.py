@@ -438,34 +438,3 @@ def exact_min_cover(
 
     return CoverCertificate(g.n, lam, "exact", tuple(best), optimal=not timed_out)
 
-
-# ---------------------------------------------------------------------------
-# Bounds table
-
-
-@dataclasses.dataclass
-class BoundTable:
-    """Analytic quantities for one n (and multiplicity lam where defined)."""
-
-    n: int
-    lam: int
-    pigeonhole_lower: int
-    alteration_upper: float | None
-    alteration_upper_n2: float | None
-    multicover_upper: float | None
-
-    @classmethod
-    def evaluate(cls, n: int, lam: int = 1) -> "BoundTable":
-        return cls(
-            n=n,
-            lam=lam,
-            pigeonhole_lower=pigeonhole_lower_bound(n, lam),
-            alteration_upper=alteration_upper_bound(n) if n >= 2 else None,
-            alteration_upper_n2=alteration_upper_bound_loose(n) if n >= 2 else None,
-            multicover_upper=(
-                multicover_upper_bound(n, lam) if lam >= 2 and n >= 3 else None
-            ),
-        )
-
-    def expected_uncovered(self, draws: int) -> float:
-        return expected_uncovered_without_replacement(self.n, draws)

@@ -4,8 +4,9 @@ The graph stores both adjacency directions densely, indexed by
 lexicographic rank: ``cover_ranks[p]`` lists the n^2+1 ranks of covers of
 pattern p, and row r of the padded table ``pattern_rows`` lists the
 distinct patterns of cover r in ascending order, followed by
-``succ_counts[r]`` copies of the sentinel n!.  Everything is immutable
-after build and safe for shared concurrent reads.
+``succ_counts[r]`` copies of the sentinel n!.  These arrays are read-only
+after build; the pair statistics are computed on first use and then cached
+(two threads reading them first may both compute them, with one result).
 
 One recursion yields S_{n+1} with the rank of every one-letter deletion
 (``_kernels.perms_and_deletions``).  Deleting at two adjacent positions
@@ -27,7 +28,7 @@ from . import _kernels
 from .errors import ResourceLimitError
 # `rank` is no longer called here, but the per-layer tracer
 # (perfbench/tracing.py) wraps `graph.rank` by name.
-from .perms import Permutation, rank, unrank  # noqa: F401
+from .perms import rank, unrank  # noqa: F401
 
 DEFAULT_MAX_N = 8
 """Largest pattern length n for full enumeration of S_{n+1} by default.
@@ -57,7 +58,7 @@ class PairStats(NamedTuple):
 
 
 class CoverageGraph:
-    """Immutable incidence between ranked S_n and ranked S_{n+1}."""
+    """Read-only incidence between ranked S_n and ranked S_{n+1}."""
 
     def __init__(self, n, cover_ranks, pattern_rows, succ_counts):
         self.n = n
@@ -120,9 +121,6 @@ class CoverageGraph:
                 self.cover_ranks, self.pattern_rows
             ))
         return self._pair_stats
-
-    def pattern_perm(self, p: int) -> Permutation:
-        return unrank(self.n, p)
 
 
 def selection_flags(g: CoverageGraph, sel) -> np.ndarray:
@@ -206,7 +204,6 @@ class JointReport:
     iff_adjacent_positions: bool
     iff_adjacent_values: bool
     adjacent_swap_iff_holds: bool
-    bounds_ok: bool
     violations: list[dict]
 
     exhaustive = True  # every audit covers all pairs; the payload keeps the key
@@ -292,7 +289,7 @@ def audit_joint_coverage(g: CoverageGraph) -> JointReport:
             violations.append(
                 {
                     "kind": "four_cover_pair_not_adjacent_position_swap",
-                    "pair": [str(g.pattern_perm(a)), str(g.pattern_perm(b))],
+                    "pair": [str(unrank(n, a)), str(unrank(n, b))],
                 }
             )
         missing = np.setdiff1d(position_keys, four_keys, assume_unique=True)
@@ -301,7 +298,7 @@ def audit_joint_coverage(g: CoverageGraph) -> JointReport:
             violations.append(
                 {
                     "kind": "adjacent_position_swap_without_4_covers",
-                    "pair": [str(g.pattern_perm(a)), str(g.pattern_perm(b))],
+                    "pair": [str(unrank(n, a)), str(unrank(n, b))],
                     "shared_covers": int(g.joint_covers(a, b).size),
                 }
             )
@@ -309,12 +306,11 @@ def audit_joint_coverage(g: CoverageGraph) -> JointReport:
     return JointReport(
         n=n,
         max_J=max_j,
-        argmax_J=str(g.pattern_perm(argmax_j)),
+        argmax_J=str(unrank(n, argmax_j)),
         max_C=max_c,
         four_cover_pairs=stats.four_cover_pairs,
         iff_adjacent_positions=iff_pos,
         iff_adjacent_values=iff_val,
         adjacent_swap_iff_holds=holds,
-        bounds_ok=(max_c <= 4 and max_j <= n ** 3),
         violations=violations,
     )

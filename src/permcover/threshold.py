@@ -205,7 +205,8 @@ def threshold_boundaries(n: int, omega: float) -> tuple[float, float]:
 
     Below p_zero the random ensemble asymptotically fails to cover; above
     p_one it asymptotically covers.  omega, positive and finite, is the
-    diverging slack.
+    diverging slack.  Both are clamped to [0, 1], which the formulas leave
+    at small n or large omega; the inversion warning judges them unclamped.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -220,7 +221,7 @@ def threshold_boundaries(n: int, omega: float) -> tuple[float, float]:
             f"p_zero={p_zero} >= p_one={p_one}",
             stacklevel=2,
         )
-    return p_zero, p_one
+    return min(max(p_zero, 0.0), 1.0), min(max(p_one, 0.0), 1.0)
 
 
 def critical_window_p(n: int, K: float) -> float:
@@ -410,38 +411,24 @@ class CoverProbability:
         return cls(covers / trials, *wilson_interval(covers, trials), covers, trials)
 
 
-@dataclasses.dataclass
-class SweepReport:
-    rows: list[dict]  # one per grid point, keyed by CSV column
-    p_zero: float | None
-    p_one: float | None
-
-
 def threshold_sweep(
     g: CoverageGraph,
     p_grid,
     trials: int,
     master_seed: int,
     *,
-    omega_ref: float = 2.0,
     workers: int = 1,
-) -> SweepReport:
-    """Coverage-probability estimates along an ascending grid of p values.
+) -> list[dict]:
+    """Coverage-probability estimates along an ascending grid of p values,
+    one row per grid point, keyed by CSV column.
 
-    Each grid point runs as its own stream of the master seed.  The
-    analytic threshold boundaries at ``omega_ref`` are attached for
-    reference when n >= 2.
+    Each grid point runs as its own stream of the master seed.
     """
     grid = [float(p) for p in p_grid]
     if not grid or sorted(grid) != grid:
         raise ValueError("p_grid must be a non-empty ascending grid")
     if not all(0.0 <= p <= 1.0 for p in grid):  # also rejects NaN
         raise ValueError("p must be in [0, 1]")
-    # checked before sampling, so a bad grid or omega costs no trials
-    if g.n >= 2:
-        p_zero, p_one = threshold_boundaries(g.n, omega_ref)
-    else:
-        p_zero = p_one = None
     rows = []
     for i, p in enumerate(grid):
         est = CoverProbability.from_histogram(
@@ -456,7 +443,7 @@ def threshold_sweep(
             "ci_hi": est.ci_hi,
             "lambda_exact": exact_mean(g.n, p),
         })
-    return SweepReport(rows, p_zero, p_one)
+    return rows
 
 
 @dataclasses.dataclass

@@ -445,8 +445,7 @@ def test_8_exhaustive_oracle_equivalence_n2(graph):
 
 def test_9_threshold_shape(sweep_n7):
     t0 = time.perf_counter()
-    grid, rep = sweep_n7
-    rows = rep.rows
+    grid, rows = sweep_n7
     assert exact_mean(7, float(grid[0])) == pytest.approx(20.0, rel=1e-9)
     assert exact_mean(7, float(grid[-1])) == pytest.approx(0.05, rel=1e-9)
     assert rows[0]["phat"] <= 0.05, rows[0]
@@ -504,7 +503,7 @@ def test_11_bit_identical_payloads_across_workers(graph, sweep_n7, gap_n7):
     # threshold sweep payload (criterion 9)
     grid, base_sweep = sweep_n7
     other = threshold_sweep(g7, grid, 2000, SWEEP_SEED, workers=3)
-    assert other.rows == base_sweep.rows
+    assert other == base_sweep
 
     # gap payload (criterion 10)
     p, base_gap = gap_n7
@@ -628,7 +627,7 @@ def test_sweep_wilson_intervals_cover_the_exact_probability(graph):
     of the nominal 0.95."""
     trials, repeats = 64, 250
     ps = (critical_window_p(4, 0.0), 0.15, 0.2, 0.25)
-    rows = threshold_sweep(graph(4), sorted(ps * repeats), trials, WILSON_SEED).rows
+    rows = threshold_sweep(graph(4), sorted(ps * repeats), trials, WILSON_SEED)
     covered = 0
     for p in ps:
         pi = float(_oracle_law(4, p)[0])

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -201,6 +202,14 @@ class TestDispatch:
         assert len([l for l in lines if not l.startswith("#")]) == 3
         assert "boundaries" not in capsys.readouterr().out
 
+    def test_threshold_boundaries_are_clamped(self, tmp_path, capsys):
+        # the formula's p_zero at n = 3, omega = 2 is -0.128...
+        out = tmp_path / "sweep.csv"
+        assert run(tmp_path, "threshold", "--n", "3", "--pmin", "0.1", "--pmax", "0.5",
+                   "--steps", "2", "--trials", "8", "--seed", "0", "--out", str(out)) == 0
+        assert "# p_zero(omega=2.0)=0.0" in out.read_text().splitlines()
+        assert "boundaries p_zero=0.000000 p_one=0.316127" in capsys.readouterr().out
+
     def test_max_n_flag_over_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PERMCOVER_MAX_N", "2")
         assert run(tmp_path, "graph", "--n", "3") == 3
@@ -266,6 +275,25 @@ class TestDispatch:
         assert run(tmp_path, "bounds", "--n-min", "3", "--n-max", "1", "--out", str(out)) == 2
         assert not out.exists()
         assert "non-empty range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, lam", [(172, 1), (171, 20)], ids=["overflow", "inf"])
+    def test_bounds_past_the_largest_float_are_a_usage_error(self, tmp_path, capsys, n, lam):
+        # (n+1)!/(n^2+1) is past the largest double from n = 172 on, and
+        # at n = 171 the multicover bound gets past it by lambda = 20
+        out = tmp_path / "bounds.csv"
+        assert run(tmp_path, "bounds", "--n-min", str(n), "--n-max", str(n),
+                   "--lambda", str(lam), "--out", str(out)) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"invalid arguments: the bounds at n={n} exceed the largest float\n"
+
+    def test_bounds_at_171_are_finite(self, tmp_path):
+        out = tmp_path / "bounds.csv"
+        assert run(tmp_path, "--quiet", "bounds", "--n-min", "171", "--n-max", "171",
+                   "--lambda", "2", "--out", str(out)) == 0
+        row = out.read_text().splitlines()[-1].split(",")
+        upper = [float(cell) for cell in row[3:6]]
+        assert all(1e307 < value < math.inf for value in upper)
 
     def test_usage_errors(self, tmp_path):
         assert run(tmp_path, "solve", "--n", "3") == 2  # missing --method
@@ -565,6 +593,36 @@ class TestSettings:
         assert run(tmp_path, *flags, "graph", "--n", "2", "--out", str(out)) == 0
         assert json.loads(out.read_text())["execution"]["workers"] == expected
 
+    def test_parser_is_built_once(self, tmp_path, monkeypatch):
+        def rebuild():
+            raise AssertionError("the parser was built again")
+
+        monkeypatch.setattr(cli, "build_parser", rebuild)
+        assert run(tmp_path, "--quiet", "graph", "--n", "2") == 0
+
+    def test_concurrent_dispatches_convert_the_variable(self, tmp_path, monkeypatch):
+        # every dispatch sets the shared parser's defaults and then parses
+        monkeypatch.setenv("PERMCOVER_WORKERS", "2")
+        codes, outs = [], [tmp_path / f"g{i}.json" for i in range(6)]
+
+        def worker(out):
+            for _ in range(20):
+                codes.append(run(tmp_path, "--quiet", "graph", "--n", "1", "--out", str(out)))
+                codes.append(json.loads(out.read_text())["execution"]["workers"])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(out,)) for out in outs]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(codes) == [0] * 120 + [2] * 120
+
     def test_cache_variable_and_flag(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PERMCOVER_CACHE", str(tmp_path / "env"))
         argv = ("--quiet", "solve", "--n", "3", "--method", "greedy")
@@ -766,6 +824,7 @@ PINNED_RUNS = [
                        "--steps", "3", "--trials", "200", "--seed", "5")),
     ("gap4", 0, ("gap", "--n", "4", "--K=0", "--trials", "256", "--seed", "2")),
     ("bounds5", 0, ("bounds", "--n-max", "5")),
+    ("bounds5-lambda2", 0, ("bounds", "--n-max", "5", "--lambda", "2")),
 ]
 PINS = {
     "exact4": "12de291ecce9c28b531fe9c6de1c03573cb0bce525698053cc3263560c2960b7",
@@ -779,6 +838,7 @@ PINS = {
     "threshold4": "177e47515de903c5368fb3a11d5b3272290654c95aad01f556c2b68d6d28081b",
     "gap4": "b902903ed28d4ce402c3f88231d66830c66e1151885abc0c8cc13fe04cef37d2",
     "bounds5": "d86838827554cd3f566a4fdc04a900a11acb2d56b1942f34ad60eacd3d98309c",
+    "bounds5-lambda2": "5dbccb9b12f7ed9b388d12b939276c788ca7657fe91a57545c755a49229f93b0",
 }
 
 

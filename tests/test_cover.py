@@ -8,7 +8,6 @@ import pytest
 
 from permcover import _kernels
 from permcover.cover import (
-    BoundTable,
     CoverCertificate,
     alteration_cover,
     alteration_default_initial_size,
@@ -455,17 +454,3 @@ class TestCertificateSerialization:
         selected = build(graph(7), *args).to_json_dict()["selected"]
         assert len(selected) == size
         assert hashlib.sha256("\n".join(selected).encode()).hexdigest() == digest
-
-
-class TestBoundTable:
-    def test_n3_row(self):
-        table = BoundTable.evaluate(3, 1)
-        assert table.pigeonhole_lower == 2
-        assert table.alteration_upper == pytest.approx(4.599, abs=5e-4)
-        assert table.multicover_upper is None
-        assert table.expected_uncovered(0) == pytest.approx(6.0)
-
-    def test_n1_row(self):
-        table = BoundTable.evaluate(1, 1)
-        assert table.pigeonhole_lower == 1
-        assert table.alteration_upper is None

@@ -347,7 +347,6 @@ class TestAudit:
         assert rep.max_J == 5
         assert rep.max_C == 4
         assert rep.four_cover_pair_count == 10
-        assert rep.bounds_ok
 
     def test_n3_iff_counterexamples_are_the_known_ones(self, graph):
         # The "only if" direction of the adjacent-swap characterization
@@ -614,5 +613,4 @@ class TestPairStatsLongRuns:
         succ_counts = np.count_nonzero(pattern_rows == 2, axis=1).astype(np.uint8)
         rep = audit_joint_coverage(CoverageGraph(2, cover_ranks, pattern_rows, succ_counts))
         assert rep.max_C == 5 and rep.max_J == 1
-        assert not rep.bounds_ok
         assert rep.violations[0] == {"kind": "pair_cover_count_exceeds_4", "max_C": 5}

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from math import exp, factorial, inf, lgamma, log, nan, sqrt
 
 import numpy as np
@@ -373,6 +374,18 @@ class TestAnalyticThresholds:
         with pytest.raises(ValueError):
             threshold_boundaries(7, 0.0)
 
+    def test_negative_p_zero_is_clamped_to_0(self):
+        # the formula gives p_zero = -0.1283... at n = 3, omega = 2
+        p_zero, p_one = threshold_boundaries(3, 2.0)
+        assert p_zero == 0.0
+        assert p_one == pytest.approx(0.3161270011487094, rel=1e-12)
+
+    def test_p_one_above_1_is_clamped_to_1(self):
+        # the formula gives p_one = 24.9... at n = 2, omega = 100
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the raw values are not inverted
+            assert threshold_boundaries(2, 100.0) == (0.0, 1.0)
+
     @pytest.mark.parametrize("omega", [inf, nan, -1.0])
     def test_boundaries_need_a_positive_finite_omega(self, omega):
         with pytest.raises(ValueError, match="omega must be positive"):
@@ -539,10 +552,10 @@ class TestMonteCarlo:
 
 class TestSweep:
     def test_degenerate_grid(self, graph):
-        report = threshold_sweep(graph(3), [0.0, 1.0], 100, master_seed=0)
-        assert report.rows[0]["phat"] == 0.0
-        assert report.rows[-1]["phat"] == 1.0
-        assert report.rows[0]["lambda_exact"] == 6.0
+        rows = threshold_sweep(graph(3), [0.0, 1.0], 100, master_seed=0)
+        assert rows[0]["phat"] == 0.0
+        assert rows[-1]["phat"] == 1.0
+        assert rows[0]["lambda_exact"] == 6.0
 
     def test_unsorted_grid_rejected(self, graph):
         with pytest.raises(ValueError):
@@ -552,17 +565,9 @@ class TestSweep:
         g = graph(5)
         p_zero, p_one = threshold_boundaries(5, 2.0)
         grid = np.linspace(max(p_zero, 0.01), p_one, 9)
-        report = threshold_sweep(g, grid, 500, master_seed=4)
-        for a, b in zip(report.rows, report.rows[1:]):
+        rows = threshold_sweep(g, grid, 500, master_seed=4)
+        for a, b in zip(rows, rows[1:]):
             assert b["ci_hi"] >= a["ci_lo"]
-
-    def test_omega_checked_before_sampling(self, graph, monkeypatch):
-        def sample(*args, **kwargs):
-            raise AssertionError("sampled before omega was checked")
-
-        monkeypatch.setattr(threshold, "run_uncovered_counts", sample)
-        with pytest.raises(ValueError, match="omega must be positive"):
-            threshold_sweep(graph(3), [0.1, 0.2], 50, master_seed=0, omega_ref=0.0)
 
     @pytest.mark.parametrize("grid", [[0.1, 1.5], [0.1, nan, 0.2]], ids=["above-1", "nan"])
     def test_grid_checked_before_sampling(self, graph, monkeypatch, grid):
@@ -572,10 +577,6 @@ class TestSweep:
         monkeypatch.setattr(threshold, "run_uncovered_counts", sample)
         with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
             threshold_sweep(graph(3), grid, 50, master_seed=0)
-
-    def test_boundaries_annotated(self, graph):
-        report = threshold_sweep(graph(3), [0.1, 0.2], 50, master_seed=0)
-        assert report.p_zero is not None and report.p_one is not None
 
 
 class TestGapExperiment:
