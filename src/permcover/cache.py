@@ -3,8 +3,9 @@
 Layout: <cache_dir>/<n>-<lambda>-<method>-<seed>.json, one bare
 certificate document per file.  Stores are atomic (write to a temp file
 in the same directory, then rename).  A load reads only the entry's
-``selected`` list, re-verifies it against a freshly built graph and
-derives everything else from the request, so a corrupt or tampered entry
+``selected`` list, re-verifies it against a graph this process built
+with `build_graph`, never anything read from the cache file, and derives
+everything else from the request, so a corrupt or tampered entry
 is either quarantined or has nothing left to claim.  An exact entry claims
 optimality, so it is kept only when the checked LP dual proves it: the
 dual's bound equals the cover's size.

@@ -15,6 +15,10 @@ PERMCOVER_MAX_N, PERMCOVER_WORKERS) > built-in defaults.  `dispatch` reads
 the variables on each call, into the defaults of a parser built once, and
 nothing else reads them: a bad value is a usage error before any work.
 
+Graphs: the handlers get each coverage graph from `_graph`, which keeps
+one per n for the process, so repeat in-process jobs build a graph and
+its pair statistics once.
+
 Envelope layout: the scientific payload is reproducible bit-for-bit from
 the echoed config (same seeds, any worker count); volatile run facts
 (timestamp, wall time, worker count, numpy version) live in a separate
@@ -57,7 +61,7 @@ from .cover import (
     verify_cover,
 )
 from .errors import ResourceLimitError
-from .graph import DEFAULT_MAX_N, audit_joint_coverage, build_graph
+from .graph import DEFAULT_MAX_N, CoverageGraph, audit_joint_coverage, build_graph
 from .threshold import (
     critical_window_p,
     gap_experiment,
@@ -178,6 +182,15 @@ def _csv_cell(value) -> str:
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
+_GRAPHS: dict[int, CoverageGraph] = {}  # one per n, kept for the process
+
+
+def _graph(n: int, max_n: int) -> CoverageGraph:
+    """The graph for n, built once; past ``max_n``, `build_graph` still raises."""
+    if n > max_n or n not in _GRAPHS:
+        _GRAPHS[n] = build_graph(n, max_n=max_n)  # by name: the tracer wraps it
+    return _GRAPHS[n]
+
 
 def _cmd_solve(args) -> Result:
     method = args.method
@@ -193,7 +206,7 @@ def _cmd_solve(args) -> Result:
         raise ValueError(f"--method {method} takes no --initial-size")
     seed = args.seed if method in ("alteration", "lambda") else None
 
-    g = build_graph(args.n, max_n=args.max_n)
+    g = _graph(args.n, args.max_n)
     notes: list[str] = []
     summary: list[str] = []
 
@@ -244,7 +257,7 @@ def _cmd_solve(args) -> Result:
 
 
 def _cmd_graph(args) -> Result:
-    g = build_graph(args.n, max_n=args.max_n)
+    g = _graph(args.n, args.max_n)
     # Build-time identity checks (cover counts, succession identity,
     # double counts) are enforced during construction; reaching here means
     # they hold.
@@ -274,7 +287,7 @@ def _cmd_graph(args) -> Result:
 
 
 def _cmd_threshold(args) -> Result:
-    g = build_graph(args.n, max_n=args.max_n)
+    g = _graph(args.n, args.max_n)
     p_zero, p_one = threshold_boundaries(g.n, args.omega) if g.n >= 2 else (None, None)
     grid = np.linspace(args.pmin, args.pmax, args.steps)
     rows = threshold_sweep(g, grid, args.trials, args.seed, workers=args.workers)
@@ -303,7 +316,7 @@ def _cmd_threshold(args) -> Result:
 
 
 def _cmd_gap(args) -> Result:
-    g = build_graph(args.n, max_n=args.max_n)
+    g = _graph(args.n, args.max_n)
     if args.K is not None:
         p = critical_window_p(args.n, args.K)
     elif args.lambda_target is not None:
@@ -339,6 +352,7 @@ def _cmd_bounds(args) -> Result:
     if args.n_max < args.n_min:
         raise ValueError("--n-min..--n-max must be a non-empty range")
     lam = args.lam
+    check_lam(args.n_min, lam)  # n^2+1 grows with n: the smallest n binds
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         try:

@@ -16,6 +16,7 @@ from jsonschema import Draft202012Validator
 import permcover
 import permcover.cache as cache
 import permcover.cli as cli
+from permcover import _kernels
 from permcover.cli import dispatch
 from permcover.cover import (
     CoverCertificate,
@@ -24,6 +25,7 @@ from permcover.cover import (
     exact_min_cover,
     greedy_cover,
 )
+from permcover.errors import ResourceLimitError
 from permcover.graph import build_graph
 
 
@@ -287,6 +289,26 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err == f"invalid arguments: the bounds at n={n} exceed the largest float\n"
 
+    @pytest.mark.parametrize("lam, message", [
+        ("20", "lam=20 impossible: each pattern has only 5 covers"),
+        ("0", "lam must be >= 1"),
+    ], ids=["above-n2-plus-1", "zero"])
+    def test_bounds_bad_lambda_is_a_usage_error(self, tmp_path, capsys, lam, message):
+        # the smallest n has the fewest covers per pattern, so it decides
+        out = tmp_path / "bounds.csv"
+        assert run(tmp_path, "bounds", "--n-min", "2", "--n-max", "3",
+                   "--lambda", lam, "--out", str(out)) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid arguments: {message}\n"
+
+    def test_bounds_lambda_at_n2_plus_1(self, tmp_path):
+        out = tmp_path / "bounds.csv"
+        assert run(tmp_path, "--quiet", "bounds", "--n-min", "5", "--n-max", "5",
+                   "--lambda", "26", "--out", str(out)) == 0
+        assert out.read_text().splitlines()[-1].startswith("5,26,")
+
     def test_bounds_at_171_are_finite(self, tmp_path):
         out = tmp_path / "bounds.csv"
         assert run(tmp_path, "--quiet", "bounds", "--n-min", "171", "--n-max", "171",
@@ -382,7 +404,7 @@ class TestDispatch:
     ], ids=["alteration-lambda-2", "lambda-0", "lambda-above-n2-plus-1"])
     def test_bad_lambda_fails_before_any_work(self, tmp_path, monkeypatch, capsys, argv,
                                               message):
-        monkeypatch.setattr(cli, "build_graph", no_graph)
+        forbid_builds(monkeypatch)
         assert run(tmp_path, "solve", "--n", "8", *argv) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "cache").exists()
@@ -547,6 +569,13 @@ def no_graph(*args, **kwargs):
     raise AssertionError("a graph was built before the settings were checked")
 
 
+def forbid_builds(monkeypatch):
+    """Fail on any graph build, from an empty memo: a graph held from an
+    earlier dispatch would otherwise hide a build made too early."""
+    monkeypatch.setattr(cli, "_GRAPHS", {})
+    monkeypatch.setattr(cli, "build_graph", no_graph)
+
+
 class TestSettings:
     """--workers, --cache-dir and --max-n are resolved, flag over
     environment over default, when the arguments are parsed."""
@@ -558,7 +587,7 @@ class TestSettings:
     def test_bad_workers_variable_fails_before_any_work(self, tmp_path, monkeypatch,
                                                         capsys, argv):
         monkeypatch.setenv("PERMCOVER_WORKERS", "abc")
-        monkeypatch.setattr(cli, "build_graph", no_graph)
+        forbid_builds(monkeypatch)
         out = tmp_path / "x.json"
         assert run(tmp_path, *argv, "--out", str(out)) == 2
         assert not out.exists()
@@ -568,7 +597,7 @@ class TestSettings:
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
                                                 workers):
-        monkeypatch.setattr(cli, "build_graph", no_graph)
+        forbid_builds(monkeypatch)
         out = tmp_path / "x.json"
         assert run(tmp_path, "--workers", workers, "graph", "--n", "3",
                    "--out", str(out)) == 2
@@ -633,7 +662,7 @@ class TestSettings:
 
     def test_bad_max_n_variable_fails_before_any_work(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PERMCOVER_MAX_N", "eight")
-        monkeypatch.setattr(cli, "build_graph", no_graph)
+        forbid_builds(monkeypatch)
         assert run(tmp_path, "gap", "--n", "3", "--K", "0", "--trials", "8",
                    "--seed", "0") == 2
 
@@ -643,7 +672,7 @@ class TestSettings:
     ], ids=["max-n", "workers"])
     def test_bad_variable_is_named(self, tmp_path, monkeypatch, capsys, name, flag, text,
                                    expected):
-        monkeypatch.setattr(cli, "build_graph", no_graph)
+        forbid_builds(monkeypatch)
         monkeypatch.setenv(name, text)
         assert run(tmp_path, "graph", "--n", "3") == 2
         assert f"argument {flag}: {expected} (from {name})" in capsys.readouterr().err
@@ -652,6 +681,67 @@ class TestSettings:
         assert run(tmp_path, flag, text, "graph", "--n", "3") == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: {expected}" in err and name not in err
+
+
+def counting(monkeypatch, module, name):
+    """Patch ``module.name`` to record each call's arguments; return the list."""
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or fn(*a, **k))
+    return calls
+
+
+class TestGraphReuse:
+    """`dispatch` keeps one coverage graph per n for the process."""
+
+    def test_repeat_gap_builds_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_GRAPHS", {})
+        builds = counting(monkeypatch, cli, "build_graph")
+        pair_stats = counting(monkeypatch, _kernels, "joint_pair_counts")
+        docs = []
+        for i in range(2):
+            out = tmp_path / f"gap{i}.json"
+            assert run(tmp_path, "--quiet", "gap", "--n", "5", "--K=0", "--trials", "256",
+                       "--seed", "1", "--out", str(out)) == 0
+            doc = json.loads(out.read_text())
+            del doc["execution"]
+            docs.append(json.dumps(doc, indent=2, sort_keys=True))
+        assert len(builds) == 1 and len(pair_stats) == 1
+        assert docs[0] == docs[1]
+
+    def test_every_verb_shares_the_graph(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_GRAPHS", {})
+        builds = counting(monkeypatch, cli, "build_graph")
+        for argv in (
+            ("graph", "--n", "4", "--audit"),  # exits 1: the audit finds violations
+            ("threshold", "--n", "4", "--pmin", "0.2", "--pmax", "0.4", "--steps", "2",
+             "--trials", "8", "--seed", "1"),
+            ("gap", "--n", "4", "--K=0", "--trials", "8", "--seed", "1"),
+            ("solve", "--n", "4", "--method", "greedy", "--no-cache"),
+        ):
+            assert run(tmp_path, "--quiet", *argv) == (1 if argv[0] == "graph" else 0)
+        assert len(builds) == 1
+
+    def test_max_n_still_applies_to_a_held_graph(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_GRAPHS", {})
+        assert run(tmp_path, "--quiet", "graph", "--n", "5") == 0
+        assert 5 in cli._GRAPHS
+        assert run(tmp_path, "--max-n", "4", "graph", "--n", "5") == 3
+        assert "exceeds the enumeration limit 4" in capsys.readouterr().err
+
+    def test_a_failed_build_holds_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_GRAPHS", {})
+        real = cli.build_graph
+
+        def fails_once(*args, **kwargs):
+            monkeypatch.setattr(cli, "build_graph", real)
+            raise ResourceLimitError("no memory for the graph")
+
+        monkeypatch.setattr(cli, "build_graph", fails_once)
+        assert run(tmp_path, "--quiet", "graph", "--n", "3") == 3
+        assert cli._GRAPHS == {}
+        assert run(tmp_path, "--quiet", "graph", "--n", "3") == 0
+        assert 3 in cli._GRAPHS
 
 
 def entry(tmp_path, key):
