@@ -6,7 +6,9 @@ in the same directory, then rename).  A load reads only the entry's
 ``selected`` list, re-verifies it against a graph this process built
 with `build_graph`, never anything read from the cache file, and derives
 everything else from the request, so a corrupt or tampered entry
-is either quarantined or has nothing left to claim.  An exact entry claims
+is either quarantined or has nothing left to claim.  A quarantine appends
+its message to the ``notes`` list the caller passes, which the CLI writes
+as the envelope's warnings or as CSV comments.  An exact entry claims
 optimality, so it is kept only when the checked LP dual proves it: the
 dual's bound equals the cover's size.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import warnings
+from collections.abc import Callable
 from pathlib import Path
 
 from .cover import (
@@ -27,7 +29,7 @@ from .cover import (
 )
 from .dual import checked_dual
 from .errors import ResourceLimitError
-from .graph import DEFAULT_MAX_N, CoverageGraph, build_graph
+from .graph import CoverageGraph
 
 DEFAULT_CACHE_DIR = "permcover-cache"
 
@@ -68,24 +70,25 @@ def store_certificate(cache_dir: str | Path, cert: CoverCertificate) -> Path | N
     return target
 
 
-def _quarantine(path: Path, reason: str):
+def _quarantine(path: Path, reason: str, notes: list[str]):
     quarantined = path.with_suffix(path.suffix + ".quarantined")
     try:
         os.replace(path, quarantined)
     except OSError:
         quarantined = None
-    warnings.warn(
+    notes.append(
         f"cache entry {path.name} failed validation ({reason}); "
-        + (f"moved to {quarantined.name}" if quarantined else "could not quarantine"),
-        stacklevel=3,
+        + (f"moved to {quarantined.name}" if quarantined else "could not quarantine")
     )
 
 
 def load_certificate(
-    cache_dir: str | Path, g: CoverageGraph, lam: int, method: str, seed: int | None
+    cache_dir: str | Path, g: CoverageGraph, lam: int, method: str, seed: int | None,
+    notes: list[str],
 ) -> CoverCertificate | None:
     """Rebuild a cached certificate from the request and its re-verified
-    ``selected``; None on a miss or a quarantined entry.
+    ``selected``; None on a miss or a quarantined entry, whose message is
+    appended to ``notes``.
 
     An exact entry is served as optimal only when it is marked "optimal"
     and the dual, checked against ``g``, gives a lower bound equal to its
@@ -106,38 +109,41 @@ def load_certificate(
         selected = parse_selected(g.n, doc["selected"])
         status, stored_size = doc.get("status"), doc.get("initial_size")
     except (OSError, KeyError, ValueError, TypeError, AttributeError) as exc:
-        _quarantine(path, f"unreadable: {exc}")
+        _quarantine(path, f"unreadable: {exc}", notes)
         return None
     if method == "exact" and status != "optimal":
-        _quarantine(path, f"exact entry has status {status!r}, not 'optimal'")
+        _quarantine(path, f"exact entry has status {status!r}, not 'optimal'", notes)
         return None
     if stored_size != initial_size:
-        _quarantine(path, f"initial_size {stored_size!r} is not the default {initial_size!r}")
+        _quarantine(path, f"initial_size {stored_size!r} is not the default {initial_size!r}",
+                    notes)
         return None
     result = verify_cover(g, selected, lam)
     if not result.ok:
-        _quarantine(path, f"{len(result.deficiencies)} deficient patterns")
+        _quarantine(path, f"{len(result.deficiencies)} deficient patterns", notes)
         return None
     if method == "exact":
         bound = checked_dual(g).lower_bound(lam)
         if bound != len(selected):
             _quarantine(path, f"exact entry of size {len(selected)} is not certified "
-                              f"optimal: the dual bound is {bound}")
+                              f"optimal: the dual bound is {bound}", notes)
             return None
     return CoverCertificate(g.n, lam, method, selected, seed, initial_size,
                             optimal=method == "exact")
 
 
 def best_known_size(
-    cache_dir: str | Path, n: int, lam: int, *, max_n: int = DEFAULT_MAX_N
+    cache_dir: str | Path, n: int, lam: int, graph: Callable[[int], CoverageGraph],
+    notes: list[str],
 ) -> tuple[int, str] | None:
     """Smallest size among the cached (n, lam) certificates that re-verify,
     as (size, status), preferring proved-optimal ones; None if there are none.
 
     Every file named by a known method's key is loaded through
-    load_certificate against a graph built for n, so an entry that fails
-    is quarantined and not reported.  Above the enumeration limit no graph
-    is built and nothing is reported.
+    load_certificate against ``graph(n)``, called only when there is such
+    a file, so an entry that fails is quarantined, noted in ``notes`` and
+    not reported.  When ``graph`` raises `ResourceLimitError` (above the
+    enumeration limit) nothing is reported.
     """
     prefix = f"{n}-{lam}-"
     requests = []
@@ -151,10 +157,11 @@ def best_known_size(
     if not requests:
         return None
     try:
-        g = build_graph(n, max_n=max_n)
+        g = graph(n)
     except ResourceLimitError:
         return None
-    certs = [load_certificate(cache_dir, g, lam, method, seed) for method, seed in requests]
+    certs = [load_certificate(cache_dir, g, lam, method, seed, notes)
+             for method, seed in requests]
     verified = [cert for cert in certs if cert is not None]
     best = min(verified, key=lambda cert: (cert.size, not cert.optimal), default=None)
     return None if best is None else (best.size, best.status)

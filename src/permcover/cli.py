@@ -11,9 +11,11 @@ written); 2 usage error, from argparse or else "invalid arguments: ...";
 3 resource limit exceeded.
 
 Configuration precedence: flags > environment (PERMCOVER_CACHE,
-PERMCOVER_MAX_N, PERMCOVER_WORKERS) > built-in defaults.  `dispatch` reads
-the variables on each call, into the defaults of a parser built once, and
-nothing else reads them: a bad value is a usage error before any work.
+PERMCOVER_MAX_N, PERMCOVER_WORKERS) > built-in defaults.  The parser is
+built once and never changed; `_settle` fills each setting its flag left
+unset after every parse, and nothing else reads the variables: a bad value
+is a usage error before any work.  `dispatch` changes no process-wide state
+but the held graphs.
 
 Graphs: the handlers get each coverage graph from `_graph`, which keeps
 one per n for the process, so repeat in-process jobs build a graph and
@@ -31,9 +33,7 @@ import json
 import math
 import os
 import sys
-import threading
 import time
-import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -71,34 +71,6 @@ from .threshold import (
 )
 
 
-class _EnvText(str):
-    """A flag's default read from an environment variable that ``source`` names."""
-
-
-def _env(name: str, default):
-    """A flag's default: the variable's text when set, else ``default``.
-
-    argparse passes a text default through the flag's ``type`` only when
-    the flag is absent, so a flag wins over a bad variable."""
-    text = _EnvText(os.environ.get(name, "").strip())
-    text.source = f" (from {name})"
-    return text or default
-
-
-def _typed(convert):
-    """argparse type ``convert``, naming the variable a bad value came from."""
-    def parse(text: str):
-        try:
-            return convert(text)
-        except argparse.ArgumentTypeError as exc:
-            message = str(exc)
-        except ValueError:  # worded as argparse words it
-            message = f"invalid {convert.__name__} value: {text!r}"
-        raise argparse.ArgumentTypeError(message + getattr(text, "source", ""))
-    return parse
-
-
-@_typed
 def _workers(text: str) -> int:
     """argparse type for --workers: an integer >= 1."""
     try:
@@ -216,10 +188,7 @@ def _cmd_solve(args) -> Result:
     cert = None
     deficient = 0  # load_certificate serves only covers it has just verified against g
     if use_cache:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cert = load_certificate(args.cache_dir, g, lam, method, seed)
-        notes.extend(str(w.message) for w in caught)
+        cert = load_certificate(args.cache_dir, g, lam, method, seed, notes)
         if cert is not None:
             summary.append(f"cache hit: {args.cache_dir}")
 
@@ -353,7 +322,7 @@ def _cmd_bounds(args) -> Result:
         raise ValueError("--n-min..--n-max must be a non-empty range")
     lam = args.lam
     check_lam(args.n_min, lam)  # n^2+1 grows with n: the smallest n binds
-    rows = []
+    rows, notes = [], []
     for n in range(args.n_min, args.n_max + 1):
         try:
             row = {
@@ -370,7 +339,7 @@ def _cmd_bounds(args) -> Result:
             row = None
         if row is None or math.inf in row.values():
             raise ValueError(f"the bounds at n={n} exceed the largest float")
-        known = best_known_size(args.cache_dir, n, lam, max_n=args.max_n)
+        known = best_known_size(args.cache_dir, n, lam, lambda n: _graph(n, args.max_n), notes)
         row["best_known_size"] = None if known is None else known[0]
         row["best_known_status"] = None if known is None else known[1]
         rows.append(row)
@@ -388,7 +357,7 @@ def _cmd_bounds(args) -> Result:
         if row["best_known_size"] is not None:
             line += f" best_known={row['best_known_size']} ({row['best_known_status']})"
         summary.append(line)
-    return Result(config, rows, [], summary)
+    return Result(config, rows, notes, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"permcover {__version__}")
     parser.add_argument("--quiet", action="store_true", help="suppress the stdout summary")
-    # `dispatch` sets the defaults of these three from the environment
+    # None when absent: `_settle` fills these three from the environment
     parser.add_argument("--workers", type=_workers,
                         help="worker threads for Monte Carlo, >= 1 (default: PERMCOVER_WORKERS or 1)")
     parser.add_argument("--cache-dir",
                         help="certificate cache directory (default: PERMCOVER_CACHE or ./permcover-cache)")
-    parser.add_argument("--max-n", type=_typed(int),
+    parser.add_argument("--max-n", type=int,
                         help=f"enumeration limit (default: PERMCOVER_MAX_N or {DEFAULT_MAX_N})")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -475,21 +444,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _PARSER = build_parser()
-_PARSER_LOCK = threading.Lock()  # a parse reads the defaults set just before it
+
+
+def _settle(args):
+    """Fill each setting its flag left unset from its variable, read now,
+    else from its default; a bad variable is a usage error naming it."""
+    for flag, name, convert, default in (
+        ("--workers", "PERMCOVER_WORKERS", _workers, 1),
+        ("--cache-dir", "PERMCOVER_CACHE", str, DEFAULT_CACHE_DIR),
+        ("--max-n", "PERMCOVER_MAX_N", int, DEFAULT_MAX_N),
+    ):
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest) is not None:
+            continue
+        text = os.environ.get(name, "").strip()
+        try:
+            setattr(args, dest, convert(text) if text else default)
+        except argparse.ArgumentTypeError as exc:
+            _PARSER.error(f"argument {flag}: {exc} (from {name})")
+        except ValueError:  # worded as argparse words it
+            _PARSER.error(f"argument {flag}: invalid {convert.__name__} value: {text!r} "
+                          f"(from {name})")
+    return args
 
 
 def dispatch(argv) -> int:
-    # read on every call: the environment may change between calls, and a flag wins
-    with _PARSER_LOCK:
-        _PARSER.set_defaults(
-            workers=_env("PERMCOVER_WORKERS", 1),
-            cache_dir=_env("PERMCOVER_CACHE", DEFAULT_CACHE_DIR),
-            max_n=_env("PERMCOVER_MAX_N", DEFAULT_MAX_N),
-        )
-        try:
-            args = _PARSER.parse_args(argv)
-        except SystemExit as exc:
-            return int(exc.code or 0)
+    try:
+        args = _settle(_PARSER.parse_args(argv))
+    except SystemExit as exc:
+        return int(exc.code or 0)
     t0 = time.perf_counter()
     try:
         result = args.handler(args)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import dataclasses
 import sys
-import warnings
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from math import exp, factorial, inf, lgamma, log, log1p, sqrt, pi
@@ -206,7 +205,9 @@ def threshold_boundaries(n: int, omega: float) -> tuple[float, float]:
     Below p_zero the random ensemble asymptotically fails to cover; above
     p_one it asymptotically covers.  omega, positive and finite, is the
     diverging slack.  Both are clamped to [0, 1], which the formulas leave
-    at small n or large omega; the inversion warning judges them unclamped.
+    at small n or large omega.  p_one - p_zero is 2 omega / n^2 > 0, but at
+    tiny omega rounding can leave p_zero an ulp above p_one, which is then
+    raised to it.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -214,13 +215,7 @@ def threshold_boundaries(n: int, omega: float) -> tuple[float, float]:
         raise ValueError(f"omega must be positive and finite, got {omega}")
     ln = log(n)
     p_zero = (ln - 1.0 + 0.5 * ln / n - omega / n) / n
-    p_one = ln / n - 1.0 / n + ln / (2.0 * n * n) + omega / (n * n)
-    if p_zero >= p_one:
-        warnings.warn(
-            f"threshold boundaries inverted at n={n}, omega={omega}: "
-            f"p_zero={p_zero} >= p_one={p_one}",
-            stacklevel=2,
-        )
+    p_one = max(ln / n - 1.0 / n + ln / (2.0 * n * n) + omega / (n * n), p_zero)
     return min(max(p_zero, 0.0), 1.0), min(max(p_one, 0.0), 1.0)
 
 

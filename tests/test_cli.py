@@ -423,12 +423,12 @@ class TestCache:
         g = graph(3)
         cert = exact_min_cover(g, 1, 30)
         cache.store_certificate(tmp_path, cert)
-        loaded = cache.load_certificate(tmp_path, g, 1, "exact", None)
+        loaded = cache.load_certificate(tmp_path, g, 1, "exact", None, [])
         assert loaded is not None
         assert loaded.selected == cert.selected
 
     def test_miss(self, tmp_path, graph):
-        assert cache.load_certificate(tmp_path, graph(3), 1, "exact", None) is None
+        assert cache.load_certificate(tmp_path, graph(3), 1, "exact", None, []) is None
 
     def test_tampered_entry_quarantined(self, tmp_path, graph):
         g = graph(3)
@@ -437,10 +437,9 @@ class TestCache:
         doc = json.loads(path.read_text())
         doc["selected"] = doc["selected"][:-1]  # drop one member: no longer a cover
         path.write_text(json.dumps(doc))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert cache.load_certificate(tmp_path, g, 1, "exact", None) is None
-        assert any("failed validation" in str(w.message) for w in caught)
+        notes = []
+        assert cache.load_certificate(tmp_path, g, 1, "exact", None, notes) is None
+        assert any("failed validation" in note for note in notes)
         assert not path.exists()
         assert path.with_suffix(".json.quarantined").exists()
 
@@ -457,10 +456,9 @@ class TestCache:
         doc = json.loads(path.read_text())
         doc["selected"].append(doc["selected"][0] if extra is None else extra)
         path.write_text(json.dumps(doc))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert cache.load_certificate(tmp_path, g, 1, "exact", None) is None
-        assert any("failed validation (unreadable" in str(w.message) for w in caught)
+        notes = []
+        assert cache.load_certificate(tmp_path, g, 1, "exact", None, notes) is None
+        assert any("failed validation (unreadable" in note for note in notes)
         assert not path.exists()
         assert path.with_suffix(".json.quarantined").exists()
 
@@ -469,9 +467,9 @@ class TestCache:
         path = cache.certificate_path(tmp_path, cache.certificate_key(3, 1, "exact", None))
         tmp_path.mkdir(exist_ok=True)
         path.write_text("{ not json")
-        with warnings.catch_warnings(record=True):
-            warnings.simplefilter("always")
-            assert cache.load_certificate(tmp_path, g, 1, "exact", None) is None
+        notes = []
+        assert cache.load_certificate(tmp_path, g, 1, "exact", None, notes) is None
+        assert any("failed validation (unreadable" in note for note in notes)
         assert not path.exists()
 
     def test_unopenable_entry_quarantined(self, tmp_path, graph):
@@ -479,10 +477,9 @@ class TestCache:
         # nor the best-known scan may crash on it
         path = cache.certificate_path(tmp_path, cache.certificate_key(3, 1, "greedy", None))
         path.mkdir(parents=True)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert cache.best_known_size(tmp_path, 3, 1) is None
-        assert any("failed validation (unreadable" in str(w.message) for w in caught)
+        notes = []
+        assert cache.best_known_size(tmp_path, 3, 1, build_graph, notes) is None
+        assert any("failed validation (unreadable" in note for note in notes)
         assert not path.exists()
 
     def test_concurrent_stores_one_winner(self, tmp_path, graph):
@@ -506,7 +503,7 @@ class TestCache:
         path = cache.certificate_path(
             tmp_path, cache.certificate_key(3, 1, "greedy", None)
         )
-        loaded = cache.load_certificate(tmp_path, g, 1, "greedy", None)
+        loaded = cache.load_certificate(tmp_path, g, 1, "greedy", None, [])
         assert loaded is not None and loaded.selected == cert.selected
         leftovers = [p for p in Path(tmp_path).iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
@@ -515,9 +512,9 @@ class TestCache:
     def test_best_known_prefers_optimal(self, tmp_path, graph):
         g = graph(3)
         cache.store_certificate(tmp_path, greedy_cover(g))
-        assert cache.best_known_size(tmp_path, 3, 1) == (3, "feasible")
+        assert cache.best_known_size(tmp_path, 3, 1, build_graph, []) == (3, "feasible")
         cache.store_certificate(tmp_path, exact_min_cover(g, 1, 30))
-        assert cache.best_known_size(tmp_path, 3, 1) == (2, "optimal")
+        assert cache.best_known_size(tmp_path, 3, 1, build_graph, []) == (2, "optimal")
 
     def test_best_known_ignores_edited_claims(self, tmp_path, capsys):
         # only the re-verified cover counts: a greedy entry edited to claim
@@ -528,7 +525,8 @@ class TestCache:
         size = doc["size"]
         doc.update(size=3, status="optimal")
         path.write_text(json.dumps(doc))
-        assert cache.best_known_size(tmp_path / "cache", 4, 1) == (size, "feasible")
+        assert cache.best_known_size(tmp_path / "cache", 4, 1, build_graph, []) == (
+            size, "feasible")
         assert run(tmp_path, "bounds", "--n-min", "4", "--n-max", "4") == 0
         assert f"best_known={size} (feasible)" in capsys.readouterr().out
         assert path.exists()
@@ -538,10 +536,9 @@ class TestCache:
         doc = json.loads(path.read_text())
         doc["selected"] = doc["selected"][:-1]  # no longer a cover
         path.write_text(json.dumps(doc))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert cache.best_known_size(tmp_path, 3, 1) is None
-        assert any("failed validation" in str(w.message) for w in caught)
+        notes = []
+        assert cache.best_known_size(tmp_path, 3, 1, build_graph, notes) is None
+        assert any("failed validation" in note for note in notes)
         assert not path.exists()
         assert path.with_suffix(".json.quarantined").exists()
 
@@ -553,9 +550,10 @@ class TestCache:
                   for stem in ("3-1-bogus-none", "3-1-greedy-07", "3-1-greedy")]
         for path in strays:
             path.write_text("{ not json")
-        assert cache.best_known_size(tmp_path, 3, 1) == (3, "feasible")
+        assert cache.best_known_size(tmp_path, 3, 1, build_graph, []) == (3, "feasible")
         assert all(path.exists() for path in strays)
-        assert cache.best_known_size(tmp_path, 3, 1, max_n=2) is None
+        assert cache.best_known_size(tmp_path, 3, 1, lambda n: build_graph(n, max_n=2),
+                                     []) is None
 
 
 def solve_payload(tmp_path, name, *argv):
@@ -622,6 +620,36 @@ class TestSettings:
         assert run(tmp_path, *flags, "graph", "--n", "2", "--out", str(out)) == 0
         assert json.loads(out.read_text())["execution"]["workers"] == expected
 
+    def test_dispatch_leaves_the_parser_unchanged(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PERMCOVER_WORKERS", "2")
+        assert run(tmp_path, "--quiet", "graph", "--n", "2") == 0
+        assert cli._PARSER.get_default("workers") is None
+
+    def test_concurrent_solves_leave_the_warning_filters(self, tmp_path):
+        # a handler that captured warnings would swap the process-wide
+        # filters under the other threads
+        filters = list(warnings.filters)
+        codes = []
+
+        def worker(i):
+            for _ in range(20):
+                codes.append(dispatch(["--cache-dir", str(tmp_path / f"cache{i}"), "--quiet",
+                                       "solve", "--n", "3", "--method", "greedy"]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert codes == [0] * 120
+        assert warnings.filters == filters
+
     def test_parser_is_built_once(self, tmp_path, monkeypatch):
         def rebuild():
             raise AssertionError("the parser was built again")
@@ -630,7 +658,7 @@ class TestSettings:
         assert run(tmp_path, "--quiet", "graph", "--n", "2") == 0
 
     def test_concurrent_dispatches_convert_the_variable(self, tmp_path, monkeypatch):
-        # every dispatch sets the shared parser's defaults and then parses
+        # every dispatch reads the variable after its own parse
         monkeypatch.setenv("PERMCOVER_WORKERS", "2")
         codes, outs = [], [tmp_path / f"g{i}.json" for i in range(6)]
 
@@ -742,6 +770,18 @@ class TestGraphReuse:
         assert cli._GRAPHS == {}
         assert run(tmp_path, "--quiet", "graph", "--n", "3") == 0
         assert 3 in cli._GRAPHS
+
+    def test_repeat_bounds_builds_no_graph(self, tmp_path, monkeypatch, capsys):
+        # the best-known column re-verifies against the graph `solve` left held
+        monkeypatch.setattr(cli, "_GRAPHS", {})
+        builds = counting(monkeypatch, cli, "build_graph")
+        assert run(tmp_path, "--quiet", "solve", "--n", "5", "--method", "greedy") == 0
+        checked = counting(monkeypatch, cache, "verify_cover")
+        for _ in range(2):
+            assert run(tmp_path, "bounds", "--n-min", "5", "--n-max", "5") == 0
+            assert "best_known=" in capsys.readouterr().out
+        assert len(builds) == 1
+        assert len(checked) == 2 and all(g is cli._GRAPHS[5] for g, *_ in checked)
 
 
 def entry(tmp_path, key):
@@ -885,6 +925,22 @@ class TestSolveCache:
         assert code == 0
         assert env["payload"]["initial_size"] == alteration_default_initial_size(4)
         assert any("initial_size 0 is not the default" in w for w in env["warnings"])
+
+    def test_bounds_writes_quarantine_notes_as_comments(self, tmp_path, capsys):
+        assert run(tmp_path, "--quiet", "solve", "--n", "3", "--method", "exact") == 0
+        path = entry(tmp_path, "3-1-exact-none")
+        doc = json.loads(path.read_text())
+        doc["selected"] = doc["selected"][:-1]  # no longer a cover
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "bounds.csv"
+        assert run(tmp_path, "--quiet", "bounds", "--n-min", "3", "--n-max", "3",
+                   "--out", str(out)) == 0
+        lines = out.read_text().splitlines()
+        assert lines[2] == ("# cache entry 3-1-exact-none.json failed validation "
+                            "(3 deficient patterns); moved to 3-1-exact-none.json.quarantined")
+        assert lines[-1].endswith(",,")  # nothing best known
+        assert "UserWarning" not in capsys.readouterr().err
+        assert path.with_suffix(".json.quarantined").exists()
 
 
 def envelope_digest(path: Path) -> str:

@@ -386,6 +386,15 @@ class TestAnalyticThresholds:
             warnings.simplefilter("error")  # the raw values are not inverted
             assert threshold_boundaries(2, 100.0) == (0.0, 1.0)
 
+    def test_boundaries_are_ordered(self):
+        # p_one - p_zero = 2 omega / n^2 can vanish in rounding at tiny omega
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in range(2, 51):
+                for exponent in range(-30, 301):
+                    p_zero, p_one = threshold_boundaries(n, 10.0 ** exponent)
+                    assert p_zero <= p_one, (n, exponent)
+
     @pytest.mark.parametrize("omega", [inf, nan, -1.0])
     def test_boundaries_need_a_positive_finite_omega(self, omega):
         with pytest.raises(ValueError, match="omega must be positive"):
