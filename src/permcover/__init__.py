@@ -24,7 +24,6 @@ from .cover import (
 from .errors import ResourceLimitError
 from .graph import (
     CoverageGraph,
-    JointReport,
     audit_joint_coverage,
     build_graph,
     covers_per_pattern,
@@ -42,7 +41,6 @@ from .perms import (
     unrank,
 )
 from .threshold import (
-    GapReport,
     count_uncovered,
     critical_window_p,
     exact_mean,
@@ -63,8 +61,6 @@ __all__ = [
     "BACKEND",
     "CoverCertificate",
     "CoverageGraph",
-    "GapReport",
-    "JointReport",
     "Permutation",
     "ResourceLimitError",
     "VerifyResult",

@@ -18,8 +18,8 @@ is a usage error before any work.  `dispatch` changes no process-wide state
 but the held graphs.
 
 Graphs: the handlers get each coverage graph from `_graph`, which keeps
-one per n for the process, so repeat in-process jobs build a graph and
-its pair statistics once.
+one per n for the process, so repeat in-process jobs, concurrent ones
+too, build a graph and its pair statistics once.
 
 Envelope layout: the scientific payload is reproducible bit-for-bit from
 the echoed config (same seeds, any worker count); volatile run facts
@@ -33,6 +33,7 @@ import json
 import math
 import os
 import sys
+import threading
 import time
 from datetime import datetime, timezone
 from pathlib import Path
@@ -155,13 +156,15 @@ def _csv_cell(value) -> str:
 # Subcommand handlers
 
 _GRAPHS: dict[int, CoverageGraph] = {}  # one per n, kept for the process
+_GRAPHS_LOCK = threading.Lock()  # so concurrent first jobs at one n build once
 
 
 def _graph(n: int, max_n: int) -> CoverageGraph:
     """The graph for n, built once; past ``max_n``, `build_graph` still raises."""
-    if n > max_n or n not in _GRAPHS:
-        _GRAPHS[n] = build_graph(n, max_n=max_n)  # by name: the tracer wraps it
-    return _GRAPHS[n]
+    with _GRAPHS_LOCK:
+        if n > max_n or n not in _GRAPHS:
+            _GRAPHS[n] = build_graph(n, max_n=max_n)  # by name: the tracer wraps it
+        return _GRAPHS[n]
 
 
 def _cmd_solve(args) -> Result:
@@ -245,7 +248,7 @@ def _cmd_graph(args) -> Result:
     }
     if not args.audit:
         return Result(config, payload, [], [f"graph n={g.n}: built, identities hold"])
-    payload.update(audit_joint_coverage(g).to_payload())
+    payload.update(audit_joint_coverage(g))
     summary = (
         f"graph n={g.n}: max_J={payload['max_J']} max_C={payload['max_C']} "
         f"four_cover_pairs={payload['four_cover_pair_count']} "
@@ -310,11 +313,11 @@ def _cmd_gap(args) -> Result:
         "seed": args.seed,
     }
     summary = (
-        f"gap n={g.n} p={p:.6f}: lambda_exact={report.lambda_exact:.4f} "
-        f"empirical_mean={report.empirical_mean:.4f} tv={report.tv_to_poisson:.4f} "
-        f"cover_prob={report.cover_probability.estimate:.4f}"
+        f"gap n={g.n} p={p:.6f}: lambda_exact={report['lambda_exact']:.4f} "
+        f"empirical_mean={report['empirical_mean']:.4f} tv={report['tv_to_poisson']:.4f} "
+        f"cover_prob={report['cover_probability']['estimate']:.4f}"
     )
-    return Result(config, report.to_payload(), report.warnings, [summary])
+    return Result(config, report, report["warnings"], [summary])
 
 
 def _cmd_bounds(args) -> Result:

@@ -18,7 +18,6 @@ has exactly n^2+1 covers.
 """
 from __future__ import annotations
 
-import dataclasses
 from math import factorial
 from typing import NamedTuple
 
@@ -192,42 +191,6 @@ def build_graph(n: int, *, max_n: int = DEFAULT_MAX_N) -> CoverageGraph:
 # Joint-coverage audit
 
 
-@dataclasses.dataclass
-class JointReport:
-    """Summary of pairwise joint coverage over all ordered pattern pairs."""
-
-    n: int
-    max_J: int
-    argmax_J: str
-    max_C: int
-    four_cover_pairs: np.ndarray  # (k, 2) rank pairs a < b, sorted, as in PairStats
-    iff_adjacent_positions: bool
-    iff_adjacent_values: bool
-    adjacent_swap_iff_holds: bool
-    violations: list[dict]
-
-    exhaustive = True  # every audit covers all pairs; the payload keeps the key
-
-    @property
-    def four_cover_pair_count(self) -> int:
-        return len(self.four_cover_pairs)
-
-    def to_payload(self) -> dict:
-        return {
-            "n": self.n,
-            "exhaustive": self.exhaustive,
-            "sample_size": None,
-            "max_J": self.max_J,
-            "argmax_J": self.argmax_J,
-            "max_C": self.max_C,
-            "four_cover_pair_count": self.four_cover_pair_count,
-            "adjacent_swap_iff_holds": self.adjacent_swap_iff_holds,
-            "iff_adjacent_positions": self.iff_adjacent_positions,
-            "iff_adjacent_values": self.iff_adjacent_values,
-            "violations": self.violations,
-        }
-
-
 def _adjacent_swap_pairs(n: int):
     """Unordered rank pairs differing by one swap of adjacent positions.
 
@@ -252,8 +215,9 @@ def _adjacent_swap_pairs(n: int):
     return np.sort(keys[lower]), np.sort(keys[lower & consecutive])
 
 
-def audit_joint_coverage(g: CoverageGraph) -> JointReport:
-    """Audit the pairwise joint-coverage structure of the graph.
+def audit_joint_coverage(g: CoverageGraph) -> dict:
+    """Audit the pairwise joint-coverage structure of the graph, returning
+    the audit keys of the ``graph --audit`` payload.
 
     Exhaustive over all ordered pattern pairs, from the graph's sparse pair
     statistics.  Checks, and reports violations of:
@@ -303,14 +267,17 @@ def audit_joint_coverage(g: CoverageGraph) -> JointReport:
                 }
             )
 
-    return JointReport(
-        n=n,
-        max_J=max_j,
-        argmax_J=str(unrank(n, argmax_j)),
-        max_C=max_c,
-        four_cover_pairs=stats.four_cover_pairs,
-        iff_adjacent_positions=iff_pos,
-        iff_adjacent_values=iff_val,
-        adjacent_swap_iff_holds=holds,
-        violations=violations,
-    )
+    return {
+        "n": n,
+        # every audit covers all pairs; the payload keeps both keys
+        "exhaustive": True,
+        "sample_size": None,
+        "max_J": max_j,
+        "argmax_J": str(unrank(n, argmax_j)),
+        "max_C": max_c,
+        "four_cover_pair_count": len(four_pairs),
+        "adjacent_swap_iff_holds": holds,
+        "iff_adjacent_positions": iff_pos,
+        "iff_adjacent_values": iff_val,
+        "violations": violations,
+    }

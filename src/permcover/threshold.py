@@ -441,35 +441,6 @@ def threshold_sweep(
     return rows
 
 
-@dataclasses.dataclass
-class GapReport:
-    """Distributional summary of X at one selection probability."""
-
-    n: int
-    p: float
-    trials: int
-    master_seed: int
-    K_nominal: float | None
-    lambda_exact: float
-    empirical_pmf: dict[int, float]
-    empirical_mean: float
-    empirical_variance: float
-    tv_to_poisson: float
-    cover_probability: CoverProbability
-    stein_chen_bound: float
-    stein_chen_raw: float
-    exact_variance: float
-    mean_ratio_decaying: float | None  # lambda_exact / (sqrt(2 pi) e^{-K})
-    mean_ratio_growing: float | None  # lambda_exact / (sqrt(2 pi) e^{+K})
-    warnings: list[str]
-
-    def to_payload(self) -> dict:
-        """The fields by name, with the pmf keyed by strings as JSON requires."""
-        payload = dataclasses.asdict(self)
-        payload["empirical_pmf"] = {str(k): v for k, v in self.empirical_pmf.items()}
-        return payload
-
-
 def gap_experiment(
     g: CoverageGraph,
     p: float,
@@ -478,8 +449,10 @@ def gap_experiment(
     *,
     K_nominal: float | None = None,
     workers: int = 1,
-) -> GapReport:
-    """Empirical law of X versus the Poisson reference with the exact mean.
+) -> dict:
+    """Empirical law of X versus the Poisson reference with the exact mean,
+    as the ``gap`` payload: a dict keyed by field name, with the pmf keyed
+    by strings as JSON requires.
 
     The reference is Poisson(n!(1-p)^(n^2+1)) truncated where its tail
     drops below 1e-12; the whole empirical support is always enclosed, and
@@ -516,25 +489,25 @@ def gap_experiment(
     else:
         ratio_dec = ratio_gro = None
 
-    return GapReport(
-        n=g.n,
-        p=p,
-        trials=trials,
-        master_seed=master_seed,
-        K_nominal=K_nominal,
-        lambda_exact=lam,
-        empirical_pmf=pmf,
-        empirical_mean=mean,
-        empirical_variance=variance,
-        tv_to_poisson=tv,
-        cover_probability=CoverProbability.from_histogram(hist),
-        stein_chen_bound=max(0.0, raw),
-        stein_chen_raw=raw,
-        exact_variance=exact_variance(g, p),
-        mean_ratio_decaying=ratio_dec,
-        mean_ratio_growing=ratio_gro,
-        warnings=notes,
-    )
+    return {
+        "n": g.n,
+        "p": p,
+        "trials": trials,
+        "master_seed": master_seed,
+        "K_nominal": K_nominal,
+        "lambda_exact": lam,
+        "empirical_pmf": {str(k): v for k, v in pmf.items()},
+        "empirical_mean": mean,
+        "empirical_variance": variance,
+        "tv_to_poisson": tv,
+        "cover_probability": dataclasses.asdict(CoverProbability.from_histogram(hist)),
+        "stein_chen_bound": max(0.0, raw),
+        "stein_chen_raw": raw,
+        "exact_variance": exact_variance(g, p),
+        "mean_ratio_decaying": ratio_dec,  # lambda_exact / (sqrt(2 pi) e^{-K})
+        "mean_ratio_growing": ratio_gro,  # lambda_exact / (sqrt(2 pi) e^{+K})
+        "warnings": notes,
+    }
 
 
 def tv_standard_error(reference_pmf, trials: int) -> float:

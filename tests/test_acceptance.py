@@ -144,9 +144,9 @@ def test_4a_joint_coverage_bounds(graph):
     t0 = time.perf_counter()
     for n in (3, 4, 5):
         rep = audit_joint_coverage(graph(n))
-        assert rep.exhaustive
-        assert rep.max_C == 4, (n, rep.max_C)
-        assert rep.max_J <= n**3, (n, rep.max_J)
+        assert rep["exhaustive"]
+        assert rep["max_C"] == 4, (n, rep["max_C"])
+        assert rep["max_J"] <= n**3, (n, rep["max_J"])
     ok = report("4a", "all pattern pairs share at most 4 covers; partners <= n^3",
                 True, f"{time.perf_counter() - t0:.1f}s")
     assert ok
@@ -326,14 +326,16 @@ def test_4b_adjacent_swap_iff_characterization(graph):
     expected_extras = {3: 4, 4: 27, 5: 184}
     for n in (3, 4, 5):
         pats, covers, four, positions, values = _brute_force_joint_coverage(n)
-        rep = audit_joint_coverage(graph(n))
-        assert rep.exhaustive, n
+        g = graph(n)
+        rep = audit_joint_coverage(g)
+        assert rep["exhaustive"], n
 
-        assert set(map(tuple, rep.four_cover_pairs.tolist())) == four, n
-        assert rep.four_cover_pair_count == len(four), n
-        assert rep.iff_adjacent_positions == (four == positions), n
-        assert rep.iff_adjacent_values == (four == values), n
-        assert rep.adjacent_swap_iff_holds == (four in (positions, values)), n
+        four_pairs = g.joint_count_matrix().four_cover_pairs
+        assert set(map(tuple, four_pairs.tolist())) == four, n
+        assert rep["four_cover_pair_count"] == len(four), n
+        assert rep["iff_adjacent_positions"] == (four == positions), n
+        assert rep["iff_adjacent_values"] == (four == values), n
+        assert rep["adjacent_swap_iff_holds"] == (four in (positions, values)), n
 
         # the "if" direction holds: every position swap shares 4 covers
         assert positions <= four, n
@@ -342,11 +344,11 @@ def test_4b_adjacent_swap_iff_characterization(graph):
 
         words = ["".join(map(str, p)) for p in pats]
         extra_words = {(words[a], words[b]) for a, b in extras}
-        reported = [tuple(v["pair"]) for v in rep.violations
+        reported = [tuple(v["pair"]) for v in rep["violations"]
                     if v["kind"] == "four_cover_pair_not_adjacent_position_swap"]
         assert reported, n
         assert set(reported) <= extra_words, (n, reported)
-        assert not [v for v in rep.violations
+        assert not [v for v in rep["violations"]
                     if v["kind"] == "adjacent_position_swap_without_4_covers"], n
         print(f"  n={n}: four_cover_pairs={len(four)} position_swaps={len(positions)} "
               f"value_swaps={len(values)} extras={len(extras)} "
@@ -370,11 +372,11 @@ def test_4b_adjacent_swap_iff_characterization(graph):
 def test_4_extended_audit_n6(graph):
     t0 = time.perf_counter()
     rep = audit_joint_coverage(graph(6))
-    assert rep.exhaustive
-    assert rep.max_C == 4
-    assert rep.max_J <= 216
+    assert rep["exhaustive"]
+    assert rep["max_C"] == 4
+    assert rep["max_J"] <= 216
     ok = report("4+", "extended n=6 audit bounds", True,
-                f"max_J={rep.max_J}, iff_holds={rep.adjacent_swap_iff_holds}, "
+                f"max_J={rep['max_J']}, iff_holds={rep['adjacent_swap_iff_holds']}, "
                 f"{time.perf_counter() - t0:.1f}s")
     assert ok
 
@@ -463,20 +465,20 @@ def test_10_poisson_gap(graph, gap_n7):
     t0 = time.perf_counter()
     p, rep = gap_n7
     g = graph(7)
-    assert rep.lambda_exact == pytest.approx(1.0, rel=1e-9)
+    assert rep["lambda_exact"] == pytest.approx(1.0, rel=1e-9)
     assert p == pytest.approx(0.15676, abs=5e-6)
-    assert rep.tv_to_poisson <= 0.10
+    assert rep["tv_to_poisson"] <= 0.10
 
-    trials = rep.trials
+    trials = rep["trials"]
     tol_mean = 3 * sqrt(exact_variance(g, p) / trials)
-    assert abs(rep.empirical_mean - 1.0) <= tol_mean
+    assert abs(rep["empirical_mean"] - 1.0) <= tol_mean
 
     ref, _ = poisson_pmf(1.0, poisson_k_max(1.0))
     se = tv_standard_error(ref, trials)
     sc = stein_chen_bound(g, p)
-    assert rep.tv_to_poisson <= sc + 3 * se
+    assert rep["tv_to_poisson"] <= sc + 3 * se
     ok = report(10, "law of the uncovered count is Poisson-close at mean 1", True,
-                f"tv={rep.tv_to_poisson:.4f} <= 0.10 and <= {sc:.4f}+3*{se:.4f}, "
+                f"tv={rep['tv_to_poisson']:.4f} <= 0.10 and <= {sc:.4f}+3*{se:.4f}, "
                 f"{time.perf_counter() - t0:.1f}s")
     assert ok
 
@@ -508,7 +510,7 @@ def test_11_bit_identical_payloads_across_workers(graph, sweep_n7, gap_n7):
     # gap payload (criterion 10)
     p, base_gap = gap_n7
     other_gap = gap_experiment(g7, p, 20_000, GAP_SEED, workers=3)
-    assert other_gap.to_payload() == base_gap.to_payload()
+    assert other_gap == base_gap
 
     ok = report(11, "different worker counts give bit-identical payloads", True,
                 f"{time.perf_counter() - t0:.1f}s")
@@ -606,7 +608,7 @@ def test_gap_tv_matches_the_exact_tv(graph, n):
     trials = 20_000
     rep = gap_experiment(graph(n), p, trials, GAP_SEED)
     se = tv_standard_error([float(w) for w in _oracle_law(n, p)], trials)
-    assert abs(rep.tv_to_poisson - _exact_tv_to_poisson(n, p)) <= 4 * se
+    assert abs(rep["tv_to_poisson"] - _exact_tv_to_poisson(n, p)) <= 4 * se
 
 
 def _wilson_coverage(pi, trials):

@@ -26,7 +26,8 @@ from permcover.cover import (
     greedy_cover,
 )
 from permcover.errors import ResourceLimitError
-from permcover.graph import build_graph
+from permcover.graph import audit_joint_coverage, build_graph
+from permcover.threshold import critical_window_p, gap_experiment
 
 
 def schema(name):
@@ -150,6 +151,22 @@ class TestDispatch:
                    "--out", str(out)) == 0
         payload = json.loads(out.read_text())["payload"]
         assert set(payload) == set(schema("gap_report.schema.json").schema["properties"])
+
+    def test_gap_experiment_returns_the_payload(self, tmp_path, graph):
+        out = tmp_path / "gap.json"
+        assert run(tmp_path, "--quiet", "gap", "--n", "4", "--K=0.5", "--trials", "256",
+                   "--seed", "1", "--out", str(out)) == 0
+        rep = gap_experiment(graph(4), critical_window_p(4, 0.5), 256, 1, K_nominal=0.5)
+        assert rep == json.loads(out.read_text())["payload"]
+
+    def test_audit_returns_the_payload_but_identity(self, tmp_path, graph):
+        rep = audit_joint_coverage(graph(4))
+        properties = set(schema("audit.schema.json").schema["properties"])
+        assert set(rep) == properties - {"identity"}
+        out = tmp_path / "audit.json"
+        assert run(tmp_path, "--quiet", "graph", "--n", "4", "--audit", "--out", str(out)) == 1
+        payload = json.loads(out.read_text())["payload"]
+        assert payload == {"n": 4, "identity": payload["identity"], **rep}
 
     def test_threshold_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -748,6 +765,28 @@ class TestGraphReuse:
             ("solve", "--n", "4", "--method", "greedy", "--no-cache"),
         ):
             assert run(tmp_path, "--quiet", *argv) == (1 if argv[0] == "graph" else 0)
+        assert len(builds) == 1
+
+    def test_concurrent_first_dispatches_build_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_GRAPHS", {})
+        builds = counting(monkeypatch, cli, "build_graph")
+        codes = []
+
+        def worker():
+            codes.append(run(tmp_path, "--quiet", "graph", "--n", "6"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert codes == [0] * 6
         assert len(builds) == 1
 
     def test_max_n_still_applies_to_a_held_graph(self, tmp_path, monkeypatch, capsys):

@@ -331,22 +331,22 @@ class TestQueries:
 class TestAudit:
     def test_n1_vacuous(self, graph):
         rep = audit_joint_coverage(graph(1))
-        assert rep.max_J == 0 and rep.max_C == 0
-        assert rep.adjacent_swap_iff_holds
-        assert rep.violations == []
+        assert rep["max_J"] == 0 and rep["max_C"] == 0
+        assert rep["adjacent_swap_iff_holds"]
+        assert rep["violations"] == []
 
     def test_n2_exact(self, graph):
         rep = audit_joint_coverage(graph(2))
-        assert rep.max_J == 1
-        assert rep.max_C == 4
-        assert rep.four_cover_pair_count == 1
-        assert rep.iff_adjacent_positions and rep.iff_adjacent_values
+        assert rep["max_J"] == 1
+        assert rep["max_C"] == 4
+        assert rep["four_cover_pair_count"] == 1
+        assert rep["iff_adjacent_positions"] and rep["iff_adjacent_values"]
 
     def test_n3_exact_values(self, graph):
         rep = audit_joint_coverage(graph(3))
-        assert rep.max_J == 5
-        assert rep.max_C == 4
-        assert rep.four_cover_pair_count == 10
+        assert rep["max_J"] == 5
+        assert rep["max_C"] == 4
+        assert rep["four_cover_pair_count"] == 10
 
     def test_n3_iff_counterexamples_are_the_known_ones(self, graph):
         # The "only if" direction of the adjacent-swap characterization
@@ -355,9 +355,10 @@ class TestAudit:
         # insertion enumeration.
         g = graph(3)
         rep = audit_joint_coverage(g)
-        assert not rep.adjacent_swap_iff_holds
+        assert not rep["adjacent_swap_iff_holds"]
         position_keys, _ = _adjacent_swap_pairs(3)
-        four_keys = rep.four_cover_pairs[:, 0] * 6 + rep.four_cover_pairs[:, 1]
+        four_pairs = g.joint_count_matrix().four_cover_pairs
+        four_keys = four_pairs[:, 0] * 6 + four_pairs[:, 1]
         extras = {
             tuple(str(unrank(3, r)) for r in divmod(int(key), 6))
             for key in np.setdiff1d(four_keys, position_keys)
@@ -371,9 +372,12 @@ class TestAudit:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_adjacent_swaps_always_give_four(self, n, graph):
         # the "if" direction does hold on every audited n
-        rep = audit_joint_coverage(graph(n))
+        g = graph(n)
+        rep = audit_joint_coverage(g)
+        four_pairs = g.joint_count_matrix().four_cover_pairs
+        assert rep["four_cover_pair_count"] == len(four_pairs)
         position_keys, _ = _adjacent_swap_pairs(n)
-        four_keys = rep.four_cover_pairs[:, 0] * factorial(n) + rep.four_cover_pairs[:, 1]
+        four_keys = four_pairs[:, 0] * factorial(n) + four_pairs[:, 1]
         assert np.isin(position_keys, four_keys).all()
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -426,8 +430,8 @@ class TestAudit:
         assert len(kept) == len(stats.four_cover_pairs) - 1
         g._pair_stats = stats._replace(four_cover_pairs=np.array(kept))
         rep = audit_joint_coverage(g)
-        assert rep.four_cover_pair_count == 9 and not rep.iff_adjacent_positions
-        missing = [v for v in rep.violations
+        assert rep["four_cover_pair_count"] == 9 and not rep["iff_adjacent_positions"]
+        missing = [v for v in rep["violations"]
                    if v["kind"] == "adjacent_position_swap_without_4_covers"]
         assert missing == [{
             "kind": "adjacent_position_swap_without_4_covers",
@@ -612,5 +616,5 @@ class TestPairStatsLongRuns:
         cover_ranks, pattern_rows = _cover_table(covers, 2)
         succ_counts = np.count_nonzero(pattern_rows == 2, axis=1).astype(np.uint8)
         rep = audit_joint_coverage(CoverageGraph(2, cover_ranks, pattern_rows, succ_counts))
-        assert rep.max_C == 5 and rep.max_J == 1
-        assert rep.violations[0] == {"kind": "pair_cover_count_exceeds_4", "max_C": 5}
+        assert rep["max_C"] == 5 and rep["max_J"] == 1
+        assert rep["violations"][0] == {"kind": "pair_cover_count_exceeds_4", "max_C": 5}

@@ -90,3 +90,35 @@ def test_only_the_cli_reads_the_environment():
 def test_every_export_resolves_once():
     assert len(set(permcover.__all__)) == len(permcover.__all__)
     assert [name for name in permcover.__all__ if not hasattr(permcover, name)] == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by a top-level import of ``source`` and never read.
+
+    Imports from ``__future__`` and lines marked ``# noqa: F401`` (names
+    kept for outside code that looks them up on the module) are skipped.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                unused.append(name)
+    return unused
+
+
+def test_no_unused_imports():
+    found = {path.name: unused_imports(path.read_text())
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: names for name, names in found.items() if names} == {}
+    # the check itself catches a stray import
+    assert unused_imports("import dataclasses\nimport os\nos.sep\n") == ["dataclasses"]
