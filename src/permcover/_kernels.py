@@ -28,9 +28,10 @@ BACKEND = "numpy"  # the one kernel implementation; reported in run facts
 # v - [s_{i-1} < v] followed by std(s without position i-1), so its rank is
 #     (v - 1 - [s_{i-1} < v]) * (k-2)! + D[s, i-1].
 # Each level is whole-block array arithmetic, O(k! * k) in all.  The rank
-# product is computed in int64 by `dtype=`: its uint8 operand times a small
-# integer would otherwise stay uint8 under numpy 1.x value-based casting and
-# wrap from k = 7 on, before `out=` ever sees it.
+# product is computed in int64 by `dtype=`: under NEP 50 (numpy >= 2) its
+# uint8 operand times a Python int stays uint8, so without it the product
+# wraps before `out=` sees it (uint8 3 times 120 gives 104) or raises
+# OverflowError once the factorial leaves uint8 (times 720).
 
 
 def perms_and_deletions(length: int):
@@ -208,14 +209,13 @@ def joint_pair_counts(cover_ranks: np.ndarray, pattern_rows: np.ndarray):
 # length.  A pattern leaves the deficient set once, when a pick brings its
 # multiplicity to `lam`; then each of its covers (its cover_ranks row)
 # loses one.  The patterns finishing in one pick share covers, so the
-# decrement is one bincount rather than a fancy-index `-=`, which would
-# drop repeats.  A picked cover's gain is set to -(n! + 1); gains only
+# decrement is np.subtract.at, which keeps the repeats that a fancy-index
+# `-=` would drop.  A picked cover's gain is set to -(n! + 1); gains only
 # fall, and an unpicked one never below 0, so it never again wins
 # np.argmax, which breaks ties to the lowest rank.
 
 
 def greedy_select(pattern_rows, cover_ranks, lam):
-    n_covers = pattern_rows.shape[0]
     n_patterns = cover_ranks.shape[0]
     counts = np.zeros(n_patterns, dtype=np.int64)
     lengths = np.count_nonzero(pattern_rows < n_patterns, axis=1)
@@ -232,6 +232,6 @@ def greedy_select(pattern_rows, cover_ranks, lam):
         counts[row] = reached
         remaining -= int(np.count_nonzero(reached <= lam))
         done = row[reached == lam]
-        gains -= np.bincount(cover_ranks[done].ravel(), minlength=n_covers)
+        np.subtract.at(gains, cover_ranks[done].ravel(), 1)
         gains[best] = -n_patterns - 1
     return np.array(picks, dtype=np.int64), int(remaining)

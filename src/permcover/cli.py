@@ -481,7 +481,7 @@ def dispatch(argv) -> int:
         result = args.handler(args)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         _write(args, result, wall_ms)
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, MemoryError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

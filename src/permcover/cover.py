@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from math import ceil, exp, factorial, lgamma, log
+from math import exp, factorial, lgamma, log
 
 import numpy as np
 
@@ -351,15 +351,17 @@ def exact_min_cover(
     residual gain), and size + ceil(W / D) with W = sum_p w_p (lam -
     count_p)^+ under the LP dual (w, D) of ``permcover.dual``, checked
     against ``g``, since no cover can lower W by more than D.  The search
-    stops as soon as the incumbent meets the larger of the pigeonhole and
-    dual bounds, the latter ceil(lam sum(w) / D).
+    stops as soon as the incumbent meets the dual bound ceil(lam sum(w) /
+    D), which is never below the pigeonhole count.
     Neither bound cuts off a cover smaller than the incumbent, so the
     incumbents, and the witness, are those an unpruned search finds.
 
-    The residual gains and W are kept incrementally: choosing a cover
-    subtracts one from every cover of each pattern it brings to
-    multiplicity lam and lowers W by the weights of the patterns it helps,
-    and backtracking undoes both, so no node recounts the incidence.
+    The search is one loop over an explicit path with a step per chosen
+    cover, so its depth is bounded only by the cover size.  The residual
+    gains and W are kept incrementally: choosing a cover subtracts one
+    from every cover of each pattern it brings to multiplicity lam (a
+    sparse np.subtract.at) and lowers W by the weights of the patterns it
+    helps; its step keeps what undoing that needs, so no node recounts.
     Single-threaded and deterministic: the proved optimal size never
     depends on timing, and the witness is the deterministic first optimum
     found under this branching order.
@@ -376,65 +378,59 @@ def exact_min_cover(
     dual = checked_dual(g)
     weights, denominator = dual.weights, dual.denominator
     best = list(greedy_cover(g, lam).selected)
-    best_size = len(best)
-    floor = max(pigeonhole_lower_bound(g.n, lam), dual.lower_bound(lam))
+    floor = dual.lower_bound(lam)
 
     cover_rows = g.cover_ranks
-    n_covers = g.n_covers
     counts = np.zeros(g.n_patterns, dtype=np.int64)
     # gains[r]: still-deficient patterns of cover r, minus `chosen_offset`
     # while r is chosen.  A gain is at most n+1, so a chosen cover's is
     # negative and never the maximum.
     gains = (g.n + 1) - g.succ_counts.astype(np.int64)
     chosen_offset = g.n + 2
-    chosen: list[int] = []
+    # load is W, the weighted deficiency, in units of 1/denominator
+    deficiency, load = g.n_patterns * lam, lam * int(weights.sum())
+    path = []
+    todo = None  # the current node's untried candidates; None on entering it
     timed_out = False
     nodes = 0
-
-    def dfs(deficiency: int, load: int):
-        # load is W, the weighted deficiency, in units of 1/denominator
-        nonlocal best, best_size, timed_out, nodes
-        if timed_out or best_size == floor:
-            return
-        nodes += 1
-        if nodes % 256 == 0 and time.perf_counter() > deadline:
-            timed_out = True
-            return
-        if deficiency == 0:
-            if len(chosen) < best_size:
-                best = sorted(chosen)
-                best_size = len(best)
-            return
-        if len(chosen) + -(-load // denominator) >= best_size:
-            return
-        max_gain = int(gains.max())
-        if max_gain <= 0:
-            return
-        bound = len(chosen) + ceil(deficiency / max_gain)
-        if bound >= best_size:
-            return
-        worst = int(np.argmin(counts))  # lowest rank among the largest shortfalls
-        for r in cover_rows[worst]:
-            r = int(r)
-            if gains[r] < 0:  # already chosen
-                continue
-            row = g.pattern_row(r)
-            reached = counts[row] + 1
-            counts[row] = reached
-            helped = row[reached <= lam]
-            # patterns of one cover share covers: bincount keeps the repeats
-            delta = np.bincount(cover_rows[row[reached == lam]].ravel(), minlength=n_covers)
-            delta[r] += chosen_offset
-            np.subtract(gains, delta, out=gains)
-            chosen.append(r)
-            dfs(deficiency - helped.size, load - int(weights[helped].sum()))
-            chosen.pop()
-            np.add(gains, delta, out=gains)
+    while True:
+        if todo is None:  # entering a node
+            todo = ()
+            if not timed_out and len(best) != floor:
+                nodes += 1
+                if nodes % 256 == 0 and time.perf_counter() > deadline:
+                    timed_out = True
+                elif deficiency == 0:
+                    if len(path) < len(best):
+                        best = sorted(step[0] for step in path)
+                elif (len(path) + -(-load // denominator) < len(best)
+                      and len(path) + -(-deficiency // int(gains.max())) < len(best)):
+                    # lowest rank among the largest shortfalls
+                    todo = iter(cover_rows[counts.argmin()].tolist())
+        for r in todo:
+            if gains[r] >= 0:  # not already chosen
+                break
+        else:  # the node is done: undo the step that led to it
+            if not path:
+                break
+            r, row, reached, lowered, deficiency, load, todo = path.pop()
+            np.add.at(gains, lowered, 1)
+            gains[r] += chosen_offset
             counts[row] = reached - 1
             if timed_out:
-                return
-
-    dfs(g.n_patterns * lam, lam * int(weights.sum()))
+                todo = ()
+            continue
+        row = g.pattern_row(r)
+        reached = counts[row] + 1
+        counts[row] = reached
+        helped = row[reached <= lam]
+        # patterns of one cover share covers: subtract.at keeps the repeats
+        lowered = cover_rows[row[reached == lam]].ravel()
+        np.subtract.at(gains, lowered, 1)
+        gains[r] -= chosen_offset
+        path.append((r, row, reached, lowered, deficiency, load, todo))
+        deficiency -= helped.size
+        load -= int(weights[helped].sum())
+        todo = None
 
     return CoverCertificate(g.n, lam, "exact", tuple(best), optimal=not timed_out)
-

@@ -365,7 +365,8 @@ def run_uncovered_counts(
     depends only on (n, p, trials, master_seed, stream): chunks of whole
     64-trial blocks run on a pool of ``workers`` threads, but never change
     which generator a block uses, and the histogram sum is
-    order-insensitive.
+    order-insensitive.  Thread i sums chunks i, i + workers, ... as they
+    finish, so memory does not grow with the trial count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -375,14 +376,15 @@ def run_uncovered_counts(
         raise ValueError("seed must be in [0, 2**64)")
     if not 0 <= stream < 2**64:
         raise ValueError("stream must be in [0, 2**64)")
-    spans = [
-        (s, min(s + _CHUNK_TRIALS, trials)) for s in range(0, trials, _CHUNK_TRIALS)
-    ]
+    starts = range(0, trials, _CHUNK_TRIALS)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(
-            pool.map(lambda ab: _run_chunk(g, p, master_seed, stream, *ab), spans)
-        )
-    return np.sum(parts, axis=0)
+        return sum(pool.map(
+            lambda first: sum(
+                _run_chunk(g, p, master_seed, stream, s, min(s + _CHUNK_TRIALS, trials))
+                for s in starts[first::workers]
+            ),
+            range(min(workers, len(starts))),
+        ))
 
 
 # ---------------------------------------------------------------------------

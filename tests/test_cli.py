@@ -395,6 +395,19 @@ class TestDispatch:
         assert run(tmp_path, "graph", "--n", "9") == 3
 
     @pytest.mark.parametrize("argv", [
+        ("lambda", "--n", "3", "--lambda", "2", "--seed", "1", "--no-cache",
+         "--initial-size", "1000000000000000"),
+        ("threshold", "--n", "3", "--pmin", "0.1", "--pmax", "0.5",
+         "--steps", "1000000000000000", "--trials", "8", "--seed", "0"),
+    ])
+    def test_failed_allocation_is_a_resource_limit(self, tmp_path, capsys, argv):
+        # each asks numpy for petabytes, past any address space, so the
+        # allocation fails at once and nothing is touched
+        assert run(tmp_path, *argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit: Unable to allocate") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
         ("graph", "--n", "2"),
         ("threshold", "--n", "2", "--pmin", "0.1", "--pmax", "0.5", "--steps", "2",
          "--trials", "8", "--seed", "1"),

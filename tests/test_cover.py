@@ -198,6 +198,15 @@ class TestGreedy:
         assert remaining == 0 and picks.size == size
         assert hashlib.sha256(picks.astype("<i8").tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("lam, digest", [
+        (1, "db4a13aa1c41b533944b669cd9e2fe23ac5be70acae72b2eba4919fb72230022"),
+        (2, "01d508ba226afe5bc15f4e71c1821086d14eee83b98f603e4be7bfb7d0a60a9d"),
+    ])
+    def test_n7_cover_golden(self, graph, lam, digest):
+        # the certificate's sorted covers, as native int64
+        selected = np.array(greedy_cover(graph(7), lam).selected, dtype=np.int64)
+        assert hashlib.sha256(selected.tobytes()).hexdigest() == digest
+
 
 def recompute_greedy(g, lam):
     """Greedy multicover recounting every gain at each pick (reference)."""
@@ -314,6 +323,14 @@ class TestExactMinCover:
         assert cert.lower_bound == pigeonhole_lower_bound(5, 1)
         assert verify_cover(g, cert.selected, 1).ok
 
+    def test_deep_search_has_no_depth_limit(self, graph):
+        # the search goes deeper than Python's default recursion limit of
+        # 1000 frames, so it must not recurse once per chosen cover
+        g = graph(6)
+        cert = exact_min_cover(g, 17, time_budget=0.5)
+        assert cert.status == "feasible"
+        assert verify_cover(g, cert.selected, 17).ok
+
     def test_budget_must_be_positive(self, graph):
         with pytest.raises(ValueError):
             exact_min_cover(graph(3), 1, time_budget=0)
@@ -351,6 +368,7 @@ class TestExactMinCover:
         (3, 2, 218, (2, 3, 20, 21)),
         (3, 3, 3672, (2, 3, 4, 15, 20, 21)),
         (4, 1, 0, (10, 32, 43, 66, 78, 83, 115)),  # greedy's 7 meets the dual bound
+        (3, 4, 84622, (2, 3, 4, 11, 12, 15, 20, 21)),  # backtracks deeply
     ])
     def test_branch_counts_and_witness_pinned(self, graph, monkeypatch, n, lam,
                                               branches, witness):

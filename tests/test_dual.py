@@ -128,6 +128,14 @@ def test_pigeonhole_dual_is_the_pigeonhole_bound():
             assert np.array_equal(shipped.weights, dual.weights)
 
 
+def test_checked_dual_is_never_below_the_pigeonhole_bound(graph):
+    # so the exact search's stopping floor is the dual bound alone
+    for n in range(1, 8):
+        dual = checked_dual(graph(n))
+        for lam in range(1, n * n + 2):
+            assert dual.lower_bound(lam) >= pigeonhole_lower_bound(n, lam)
+
+
 def main():
     lines = []
     for n in SHIPPED_N:

@@ -1,5 +1,7 @@
 import itertools
+import threading
 import warnings
+import weakref
 from math import exp, factorial, inf, lgamma, log, nan, sqrt
 
 import numpy as np
@@ -532,6 +534,32 @@ class TestMonteCarlo:
             assert np.array_equal(
                 base, run_uncovered_counts(g, 0.12, 700, master_seed=9, workers=workers)
             )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunk_histograms_are_summed_as_they_finish(self, graph, monkeypatch, workers):
+        # every histogram _run_chunk returns is counted while it is alive;
+        # keeping each chunk's until the end would hold all 64 at once
+        lock = threading.Lock()
+        alive, peak = [0], [0]
+
+        def release():
+            with lock:
+                alive[0] -= 1
+
+        def counted(*args):
+            hist = run_chunk(*args)
+            with lock:
+                alive[0] += 1
+                peak[0] = max(peak[0], alive[0])
+            weakref.finalize(hist, release)
+            return hist
+
+        run_chunk = threshold._run_chunk
+        monkeypatch.setattr(threshold, "_run_chunk", counted)
+        trials = 64 * threshold._CHUNK_TRIALS
+        hist = run_uncovered_counts(graph(4), 0.1, trials, master_seed=3, workers=workers)
+        assert hist.sum() == trials
+        assert peak[0] <= 2 * workers
 
     @pytest.mark.parametrize("stream", [-1, 2**64])
     def test_stream_out_of_range(self, graph, stream):
