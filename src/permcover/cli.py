@@ -303,6 +303,7 @@ def _cmd_gap(args) -> Result:
         K_nominal=args.K,
         workers=args.workers,
     )
+    notes = report.pop("warnings")  # the envelope's, not the payload's
     config = {
         "subcommand": "gap",
         "n": args.n,
@@ -317,7 +318,7 @@ def _cmd_gap(args) -> Result:
         f"empirical_mean={report['empirical_mean']:.4f} tv={report['tv_to_poisson']:.4f} "
         f"cover_prob={report['cover_probability']['estimate']:.4f}"
     )
-    return Result(config, report, report["warnings"], [summary])
+    return Result(config, report, notes, [summary])
 
 
 def _cmd_bounds(args) -> Result:

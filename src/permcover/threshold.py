@@ -454,7 +454,8 @@ def gap_experiment(
 ) -> dict:
     """Empirical law of X versus the Poisson reference with the exact mean,
     as the ``gap`` payload: a dict keyed by field name, with the pmf keyed
-    by strings as JSON requires.
+    by strings as JSON requires, plus the run's notes under ``warnings``,
+    which the CLI moves to the envelope.
 
     The reference is Poisson(n!(1-p)^(n^2+1)) truncated where its tail
     drops below 1e-12; the whole empirical support is always enclosed, and

@@ -157,7 +157,10 @@ class TestDispatch:
         assert run(tmp_path, "--quiet", "gap", "--n", "4", "--K=0.5", "--trials", "256",
                    "--seed", "1", "--out", str(out)) == 0
         rep = gap_experiment(graph(4), critical_window_p(4, 0.5), 256, 1, K_nominal=0.5)
-        assert rep == json.loads(out.read_text())["payload"]
+        doc = json.loads(out.read_text())
+        # the CLI moves the report's notes to the envelope, once
+        assert rep.pop("warnings") == doc["warnings"] != []
+        assert rep == doc["payload"]
 
     def test_audit_returns_the_payload_but_identity(self, tmp_path, graph):
         rep = audit_joint_coverage(graph(4))
@@ -1034,7 +1037,7 @@ PINS = {
     "graph4": "bccd93d400be5bf6abfd3667a338c57463a49a9654883a0026f3b620c352b107",
     "audit4": "2f885a3c2caaa18e60d07b2df6069af7543c1443aa367b721c4ed5ee85a69190",
     "threshold4": "177e47515de903c5368fb3a11d5b3272290654c95aad01f556c2b68d6d28081b",
-    "gap4": "b902903ed28d4ce402c3f88231d66830c66e1151885abc0c8cc13fe04cef37d2",
+    "gap4": "028b59d2a539b39f0ca301b930d572b80759dc5f8998feadb00f449611b196eb",
     "bounds5": "d86838827554cd3f566a4fdc04a900a11acb2d56b1942f34ad60eacd3d98309c",
     "bounds5-lambda2": "5dbccb9b12f7ed9b388d12b939276c788ca7657fe91a57545c755a49229f93b0",
 }
