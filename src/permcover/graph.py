@@ -5,8 +5,9 @@ lexicographic rank: ``cover_ranks[p]`` lists the n^2+1 ranks of covers of
 pattern p, and row r of the padded table ``pattern_rows`` lists the
 distinct patterns of cover r in ascending order, followed by
 ``succ_counts[r]`` copies of the sentinel n!.  These arrays are read-only
-after build; the pair statistics are computed on first use and then cached
-(two threads reading them first may both compute them, with one result).
+after build; the pair statistics and a column-major copy of ``cover_ranks``
+are computed on first use and then cached (two threads reading one first
+may both compute it, with one result).
 
 One recursion yields S_{n+1} with the rank of every one-letter deletion
 (``_kernels.perms_and_deletions``).  Deleting at two adjacent positions
@@ -69,6 +70,7 @@ class CoverageGraph:
         for arr in (cover_ranks, pattern_rows, succ_counts):
             arr.flags.writeable = False  # the queries hand out views of these
         self._pair_stats = None
+        self._column_major = None
 
     # -- queries ------------------------------------------------------------
 
@@ -120,6 +122,19 @@ class CoverageGraph:
                 self.cover_ranks, self.pattern_rows
             ))
         return self._pair_stats
+
+    def column_major_cover_ranks(self) -> np.ndarray:
+        """``cover_ranks`` as a column-major intp copy, built once and cached.
+
+        The counting kernel gathers one column per step: here each column
+        is contiguous, and ``take`` needs no index cast.  (n^2+1) * n! * 8
+        bytes: 2 MB at n = 7, 21 MB at n = 8.
+        """
+        if self._column_major is None:
+            table = np.asfortranarray(self.cover_ranks, dtype=np.intp)
+            table.flags.writeable = False
+            self._column_major = table
+        return self._column_major
 
 
 def selection_flags(g: CoverageGraph, sel) -> np.ndarray:

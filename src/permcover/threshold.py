@@ -130,7 +130,7 @@ def count_uncovered(g: CoverageGraph, sel) -> int:
     a boolean mask over the ranks of S_{n+1}, or an array of selected ranks
     (see ``selection_flags``)."""
     words = selection_flags(g, sel).astype(np.uint64)[None, :]  # one trial: lane 0
-    x = _kernels.count_uncovered_chunk(g.cover_ranks, words, 1)
+    x = _kernels.count_uncovered_chunk(g.column_major_cover_ranks(), words, 1)
     return int(x[0])
 
 
@@ -346,7 +346,7 @@ def _run_chunk(g: CoverageGraph, p: float, master_seed: int, stream: int,
     words = np.empty((len(blocks), g.n_covers), dtype=np.uint64)
     for row, b in zip(words, blocks):
         row[:] = _bernoulli_words(g.n_covers, p, trial_rng(master_seed, b, stream))
-    x = _kernels.count_uncovered_chunk(g.cover_ranks, words, stop - start)
+    x = _kernels.count_uncovered_chunk(g.column_major_cover_ranks(), words, stop - start)
     return np.bincount(x, minlength=g.n_patterns + 1)
 
 
@@ -377,6 +377,7 @@ def run_uncovered_counts(
     if not 0 <= stream < 2**64:
         raise ValueError("stream must be in [0, 2**64)")
     starts = range(0, trials, _CHUNK_TRIALS)
+    g.column_major_cover_ranks()  # built here, so no two pool threads build it
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(
             lambda first: sum(
