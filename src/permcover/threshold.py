@@ -9,9 +9,11 @@ Poisson-approximation bound, and empirical total-variation distances.
 
 Reproducibility contract: trials run in blocks of 64, one trial per bit
 lane of a uint64 word, and block b's randomness is a pure function of
-(master_seed, b, stream): the raw 64-bit words of one counter-based Philox
-stream (see ``trial_rng``), read with ``random_raw`` and no ``Generator``
-method.  The draw order within a block is fixed (see ``_bernoulli_words``),
+(master_seed, b, stream): the raw 64-bit words of one SFC64 stream seeded
+by ``SeedSequence(master_seed, spawn_key=(stream, b))`` (see
+``trial_rng``), read with ``random_raw`` and no ``Generator`` method.  The
+key is injective while b < 2**32, so a run holds at most 2**38 trials.  The
+draw order within a block is fixed (see ``_bernoulli_words``),
 so results are bit-identical for any worker count or chunk schedule, and
 the first t trials of a run do not depend on how many trials follow them;
 aggregation is integer-count based.  Trials parallelize freely over a
@@ -45,6 +47,10 @@ _POISSON_TAIL_TOL = 1e-12
 # and the chunk size never changes which stream a trial's lane comes from.
 _CHUNK_TRIALS = 256
 
+# Most trials in one run: 2**32 blocks of 64, the blocks whose spawn key
+# (see trial_rng) is injective.
+_MAX_TRIALS = 2**38
+
 # Rounds in which every cover draws a word, before only the covers with an
 # undecided lane do (see _bernoulli_words).  Part of the draw order.
 _DENSE_ROUNDS = 8
@@ -55,17 +61,24 @@ _DENSE_ROUNDS = 8
 
 
 def trial_rng(master_seed: int, block: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator for one block of 64 trials.
+    """Seeded generator for one block of 64 trials.
 
-    Philox keyed by (master_seed, block) with the stream id in the counter
-    block: independent across blocks and streams, and identical no matter
-    which worker runs the block.  Trials 64*block .. 64*block + 63 are the
-    bit lanes of the block's sample, which reads only the bit generator's
-    raw 64-bit words (``bit_generator.random_raw``).
+    SFC64 seeded by ``SeedSequence(master_seed, spawn_key=(stream, block))``:
+    the hashed seed sequence makes blocks and streams independent, and the
+    generator is identical no matter which worker runs the block (Salmon
+    et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011; O'Neill,
+    "PCG", 2014).  SeedSequence writes each key entry as its 32-bit words,
+    so the key is injective while block < 2**32: past that,
+    (stream=2**32 + 1, block=7) and (stream=1, block=1 + 7 * 2**32) collide,
+    which ``run_uncovered_counts`` rules out by its trial limit.  Trials
+    64*block .. 64*block + 63 are the bit lanes of the block's sample, which
+    reads only the bit generator's raw 64-bit words
+    (``bit_generator.random_raw``).  It replaced a Philox stream keyed by
+    (master_seed, block), so a seed no longer reproduces that stream's
+    Monte Carlo output.
     """
-    key = np.array([master_seed, block], dtype=np.uint64)
-    counter = np.array([0, 0, 0, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    seq = np.random.SeedSequence(master_seed, spawn_key=(stream, block))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def _bernoulli_words(m: int, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -366,10 +379,11 @@ def run_uncovered_counts(
     64-trial blocks run on a pool of ``workers`` threads, but never change
     which generator a block uses, and the histogram sum is
     order-insensitive.  Thread i sums chunks i, i + workers, ... as they
-    finish, so memory does not grow with the trial count.
+    finish, so memory does not grow with the trial count.  At most 2**38
+    trials, where the blocks' spawn keys stay distinct (see ``trial_rng``).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not 1 <= trials <= _MAX_TRIALS:
+        raise ValueError(f"trials must be in [1, 2**38], got {trials}")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     if not 0 <= master_seed < 2**64:

@@ -1036,8 +1036,8 @@ PINS = {
     "lambda4": "84146812d3af93947762b228cb5b6463f51bdb5bfa6c7edafbb679e3f6018125",
     "graph4": "bccd93d400be5bf6abfd3667a338c57463a49a9654883a0026f3b620c352b107",
     "audit4": "2f885a3c2caaa18e60d07b2df6069af7543c1443aa367b721c4ed5ee85a69190",
-    "threshold4": "177e47515de903c5368fb3a11d5b3272290654c95aad01f556c2b68d6d28081b",
-    "gap4": "028b59d2a539b39f0ca301b930d572b80759dc5f8998feadb00f449611b196eb",
+    "threshold4": "a0cea30a4ac857feed2047960214fde96858ccc32d849b141c4abbf7cdeb611d",
+    "gap4": "12eedd73fea938ab94fb3a48ba79aac915e942d36e22edd22b6968737e0d1159",
     "bounds5": "d86838827554cd3f566a4fdc04a900a11acb2d56b1942f34ad60eacd3d98309c",
     "bounds5-lambda2": "5dbccb9b12f7ed9b388d12b939276c788ca7657fe91a57545c755a49229f93b0",
 }
