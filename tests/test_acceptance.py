@@ -15,13 +15,16 @@ The exact law of the uncovered count at n = 2, 3, 4, by inclusion-exclusion
 over cover masks built from itertools alone, backs the Monte Carlo
 criteria at small n: chi-square tests of sampled histograms against it,
 `exact_variance` against its variance, and the coverage rate of the
-sweep's Wilson intervals against its P(X = 0).
+sweep's Wilson intervals against its P(X = 0).  Past n = 4, where the law
+is out of reach, the Harris and Janson inequalities bracket P(X = 0) from
+the pair counts alone; the bracket is checked against the exact law at
+n <= 4 and the Monte Carlo estimates at n = 7 are checked against it.
 """
 import functools
 import itertools
 import time
 from fractions import Fraction
-from math import comb, exp, factorial, sqrt
+from math import comb, exp, factorial, log1p, sqrt
 
 import numpy as np
 import pytest
@@ -59,6 +62,7 @@ GAP_SEED = 0
 CALIBRATION_SEED = 2026
 EXHAUSTIVE_SEED = 1
 WILSON_SEED = 95
+BRACKET_SEED = 2012
 
 
 def report(number, name, ok, detail=""):
@@ -639,3 +643,65 @@ def test_sweep_wilson_intervals_cover_the_exact_probability(graph):
         covered += hits
     total = repeats * len(ps)
     assert abs(covered / total - 0.95) <= 4 * sqrt(0.95 * 0.05 / total), covered
+
+
+def _cover_bracket(g, p):
+    """(lower, upper) bounds on P(X = 0), from the pair counts alone.
+
+    "Pattern i is uncovered" says that all k = n^2+1 covers of i are
+    unselected, and covers are unselected independently with probability
+    q = 1-p: Janson's setting.  With mu = n! q^k and Delta the sum of
+    q^(2k-c) over ordered pairs of patterns sharing c >= 1 covers, Harris's
+    inequality gives P(X = 0) >= (1 - q^k)^(n!) and Janson's gives
+    P(X = 0) <= exp(-mu + Delta/2) (Janson, Luczak and Rucinski 1990; Alon
+    and Spencer, "The Probabilistic Method", ch. 8; Harris 1960).  N_c is
+    the library's pair statistics, which the graph tests check against a
+    brute force.
+    """
+    k, q = covers_per_pattern(g.n), 1.0 - p
+    n_pairs = g.joint_count_matrix().n_pairs
+    mu = factorial(g.n) * q**k
+    delta = sum(int(n_pairs[c]) * q ** (2 * k - c) for c in range(1, n_pairs.size))
+    return exp(factorial(g.n) * log1p(-(q**k))), exp(-mu + delta / 2)
+
+
+def _bracket_gap_in_standard_errors(estimate, trials, lo, hi):
+    """How many standard errors the estimate lies outside [lo, hi], the
+    error taken at the bracket's nearest point; 0 inside."""
+    nearest = min(max(estimate, lo), hi)
+    return abs(estimate - nearest) / sqrt(nearest * (1 - nearest) / trials)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cover_bracket_holds_against_the_exact_law(graph, n):
+    for p in [i / 20 for i in range(1, 20)] + [critical_window_p(4, 0.0)]:
+        lo, hi = _cover_bracket(graph(n), p)
+        exact = float(_oracle_law(n, p)[0])
+        assert lo - 1e-12 <= exact <= hi + 1e-12, (p, lo, exact, hi)
+
+
+@pytest.mark.parametrize("stream, K", [(0, -1.0), (1, 0.0)])
+def test_n7_cover_probability_within_the_bracket(graph, stream, K):
+    """Each K runs its own stream, so the two estimates are independent."""
+    g, p, trials = graph(7), critical_window_p(7, K), 16384
+    hist = run_uncovered_counts(g, p, trials, BRACKET_SEED, stream=stream, workers=2)
+    lo, hi = _cover_bracket(g, p)
+    assert hi - lo < 0.01
+    z = _bracket_gap_in_standard_errors(hist[0] / trials, trials, lo, hi)
+    assert z <= 3.9, (hist[0] / trials, lo, hi)
+
+
+def test_gap_n7_cover_probability_within_the_bracket(graph, gap_n7):
+    p, rep = gap_n7
+    lo, hi = _cover_bracket(graph(7), p)
+    assert lo == pytest.approx(0.3678, abs=5e-5) and hi == pytest.approx(0.3764, abs=5e-5)
+    cp = rep["cover_probability"]
+    assert _bracket_gap_in_standard_errors(cp["estimate"], cp["trials"], lo, hi) <= 3.9
+
+
+def test_sweep_n7_intervals_meet_the_bracket(graph, sweep_n7):
+    """Every row's z = 3.89 Wilson interval meets its bracket."""
+    for row in sweep_n7[1]:
+        lo, hi = _cover_bracket(graph(7), row["p"])
+        ci_lo, ci_hi = wilson_interval(row["covers"], row["trials"], z=3.89)
+        assert ci_lo <= hi and lo <= ci_hi, (row, lo, hi)
