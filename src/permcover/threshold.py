@@ -143,7 +143,7 @@ def count_uncovered(g: CoverageGraph, sel) -> int:
     a boolean mask over the ranks of S_{n+1}, or an array of selected ranks
     (see ``selection_flags``)."""
     words = selection_flags(g, sel).astype(np.uint64)[None, :]  # one trial: lane 0
-    x = _kernels.count_uncovered_chunk(g.column_major_cover_ranks(), words, 1)
+    x = _kernels.count_uncovered_chunk(g.cover_ranks, words, 1)
     return int(x[0])
 
 
