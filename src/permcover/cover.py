@@ -231,20 +231,28 @@ def format_selected(n: int, ranks) -> list[str]:
 def parse_selected(n: int, selected) -> tuple[int, ...]:
     """Sorted ranks of a serialized ``selected`` list of (n+1)-permutations.
 
-    Each entry is parsed once (``perms.parse_perm``, so either serialized
-    form); the lengths, the permutation property and duplicates are then
-    checked on one (k, n+1) table, which ``_kernels.lehmer_ranks`` ranks.
-    Raises ValueError on an entry that is not an (n+1)-permutation or
-    that repeats an earlier one.
+    While n+1 <= 9, a list whose every entry is a string of exactly n+1
+    ASCII digits, the form ``format_selected`` writes, is read in one pass:
+    the joined text's bytes are the digit table.  Any other list is parsed
+    entry by entry (``perms.parse_perm``, so either serialized form), so
+    it accepts and rejects exactly what that does.  The permutation
+    property and duplicates are then checked on one (k, n+1) table, which
+    ``_kernels.lehmer_ranks`` ranks.  Raises ValueError on an entry that
+    is not an (n+1)-permutation or that repeats an earlier one.
     """
-    length = n + 1
-    rows = [parse_perm(s) for s in selected]
-    try:
-        table = np.array(rows, dtype=np.int64).reshape(len(rows), length)
-    except ValueError:  # ragged, or every row of another length
-        raise ValueError(f"selected permutations must have length {length}") from None
-    except OverflowError:  # an entry past int64
-        raise ValueError(f"selected entries must be permutations of 1..{length}") from None
+    length, selected = n + 1, list(selected)
+    canonical = length <= 9 and all(isinstance(s, str) and len(s) == length for s in selected)
+    text = "".join(selected) if canonical else ""
+    if text.isascii() and text.isdigit():  # so every character is one of 0-9
+        table = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, length) - ord("0")
+    else:
+        rows = [parse_perm(s) for s in selected]
+        try:
+            table = np.array(rows, dtype=np.int64).reshape(len(rows), length)
+        except ValueError:  # ragged, or every row of another length
+            raise ValueError(f"selected permutations must have length {length}") from None
+        except OverflowError:  # an entry past int64
+            raise ValueError(f"selected entries must be permutations of 1..{length}") from None
     if (np.sort(table, axis=1) != np.arange(1, length + 1)).any():
         raise ValueError(f"selected entries must be permutations of 1..{length}")
     ranks = np.sort(_kernels.lehmer_ranks(table))
@@ -281,18 +289,31 @@ def _patch_uncovered(g: CoverageGraph, picks: np.ndarray, lam: int) -> tuple[int
     multiplicity lam; returns the selected ranks, sorted.
 
     Patterns are visited in rank order; a still-deficient pattern gets its
-    lowest-rank unselected covers.  Deterministic.
+    lowest-rank unselected covers.  Deterministic.  The first counts are
+    one array pass; the visits then run on a bytearray of flags and a list
+    of counts, reading one cover row and one pattern row per step, since a
+    step touches at most n^2+1 entries and numpy's per-call cost would
+    dominate it.  The counts list has a slot for the pattern rows' padding
+    sentinel n!, which no visit reads.
     """
     flags = np.zeros(g.n_covers, dtype=bool)
     flags[picks] = True
     counts = flags[g.cover_ranks].sum(axis=1)
-    for p in np.flatnonzero(counts < lam):
-        while counts[p] < lam:
-            row = g.cover_ranks[p]
-            r = int(row[~flags[row]][0])  # rows are rank-sorted, so this is lowest-rank
-            flags[r] = True
-            counts[g.pattern_row(r)] += 1
-    return tuple(np.flatnonzero(flags).tolist())
+    chosen = bytearray(flags.tobytes())
+    short, counts = np.flatnonzero(counts < lam).tolist(), counts.tolist() + [0]
+    for p in short:
+        need = lam - counts[p]
+        # rows are rank-sorted, so the first unselected are lowest-rank;
+        # each one raises counts[p] by exactly one
+        for r in g.cover_ranks[p].tolist():
+            if need <= 0:
+                break
+            if not chosen[r]:
+                chosen[r] = 1
+                need -= 1
+                for q in g.pattern_rows[r].tolist():
+                    counts[q] += 1
+    return tuple(np.flatnonzero(np.frombuffer(chosen, dtype=bool)).tolist())
 
 
 def alteration_cover(
@@ -350,9 +371,10 @@ def exact_min_cover(
     greedy).  Two bounds prune a node: size + ceil(total deficiency / best
     residual gain), and size + ceil(W / D) with W = sum_p w_p (lam -
     count_p)^+ under the LP dual (w, D) of ``permcover.dual``, checked
-    against ``g``, since no cover can lower W by more than D.  The search
-    stops as soon as the incumbent meets the dual bound ceil(lam sum(w) /
-    D), which is never below the pigeonhole count.
+    against ``g``, since no cover can lower W by more than D.  Once the
+    incumbent meets the dual bound ceil(lam sum(w) / D), which is never
+    below the pigeonhole count, the search stops: it enters no node and
+    unwinds the path without trying any ancestor's remaining candidates.
     Neither bound cuts off a cover smaller than the incumbent, so the
     incumbents, and the witness, are those an unpruned search finds.
 
@@ -417,7 +439,7 @@ def exact_min_cover(
             np.add.at(gains, lowered, 1)
             gains[r] += chosen_offset
             counts[row] = reached - 1
-            if timed_out:
+            if timed_out or len(best) == floor:
                 todo = ()
             continue
         row = g.pattern_row(r)

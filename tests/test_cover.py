@@ -6,9 +6,10 @@ from math import comb, factorial, log
 import numpy as np
 import pytest
 
-from permcover import _kernels
+from permcover import _kernels, cover, perms
 from permcover.cover import (
     CoverCertificate,
+    _patch_uncovered,
     alteration_cover,
     alteration_default_initial_size,
     alteration_upper_bound,
@@ -176,11 +177,14 @@ class TestGreedy:
             greedy_cover(graph(3), lam=11)  # each pattern has only 10 covers
 
     @pytest.mark.parametrize("n", range(1, 7))
-    @pytest.mark.parametrize("lam", [1, 2, 3])
+    @pytest.mark.parametrize("lam", [1, 2, 3, pytest.param(None, id="full")])
     def test_incremental_gains_match_recompute(self, graph, n, lam):
         # the kernel keeps gains as state; the reference recounts every
         # cover's deficient patterns at every pick.  At n=1, lam=3 both
-        # run out of covers and report the same unmet deficiency.
+        # run out of covers and report the same unmet deficiency.  At
+        # lam = n^2+1 ("full") every cover is picked, so the kernel's
+        # bucket walk runs down through every gain to top 0.
+        lam = n * n + 1 if lam is None else lam
         g = graph(n)
         picks, remaining = _kernels.greedy_select(g.pattern_rows, g.cover_ranks, lam)
         ref_picks, ref_remaining = recompute_greedy(g, lam)
@@ -228,6 +232,40 @@ def recompute_greedy(g, lam):
         remaining -= int(np.count_nonzero(deficient[row]))
         counts[row] += 1
     return picks, remaining
+
+
+def reference_patch(g, picks, lam):
+    """cover._patch_uncovered with a numpy call per step (reference)."""
+    flags = np.zeros(g.n_covers, dtype=bool)
+    flags[picks] = True
+    counts = flags[g.cover_ranks].sum(axis=1)
+    for p in np.flatnonzero(counts < lam):
+        while counts[p] < lam:
+            row = g.cover_ranks[p]
+            r = int(row[~flags[row]][0])  # rows are rank-sorted, so this is lowest-rank
+            flags[r] = True
+            counts[g.pattern_row(r)] += 1
+    return tuple(np.flatnonzero(flags).tolist())
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_patch_matches_reference(graph, n):
+    # every multiplicity the constructions use, up to n^2+1, where every
+    # cover must be selected; pick sets with repeats, as lambda_cover draws
+    g = graph(n)
+    rng = np.random.default_rng(n)
+    sparse = rng.integers(0, g.n_covers, size=max(2, g.n_covers // 40))
+    dense = rng.integers(0, g.n_covers, size=g.n_covers)
+    pick_sets = {
+        "empty": np.zeros(0, dtype=np.int64),
+        "sparse": np.concatenate([sparse, sparse[:2]]),
+        "dense": dense,
+    }
+    for lam in sorted(lam for lam in {1, 2, 3, n * n + 1} if lam <= n * n + 1):
+        for name, picks in pick_sets.items():
+            got = _patch_uncovered(g, picks, lam)
+            assert got == reference_patch(g, picks, lam), (lam, name)
+            assert verify_cover(g, got, lam).ok
 
 
 class TestAlteration:
@@ -364,11 +402,11 @@ class TestExactMinCover:
             assert verify_cover(g, reversed_sel, 1).ok
 
     @pytest.mark.parametrize("n, lam, branches, witness", [
-        (3, 1, 20, (2, 21)),
-        (3, 2, 218, (2, 3, 20, 21)),
-        (3, 3, 3672, (2, 3, 4, 15, 20, 21)),
+        (3, 1, 13, (2, 21)),
+        (3, 2, 200, (2, 3, 20, 21)),
+        (3, 3, 3639, (2, 3, 4, 15, 20, 21)),
         (4, 1, 0, (10, 32, 43, 66, 78, 83, 115)),  # greedy's 7 meets the dual bound
-        (3, 4, 84622, (2, 3, 4, 11, 12, 15, 20, 21)),  # backtracks deeply
+        (3, 4, 84577, (2, 3, 4, 11, 12, 15, 20, 21)),  # backtracks deeply
     ])
     def test_branch_counts_and_witness_pinned(self, graph, monkeypatch, n, lam,
                                               branches, witness):
@@ -382,6 +420,24 @@ class TestExactMinCover:
         assert cert.status == "optimal"
         assert len(calls) == branches
         assert cert.selected == witness
+
+
+def reference_parse_selected(n, selected):
+    """cover.parse_selected with a parse_perm call per entry (reference)."""
+    length = n + 1
+    rows = [perms.parse_perm(s) for s in selected]
+    try:
+        table = np.array(rows, dtype=np.int64).reshape(len(rows), length)
+    except ValueError:
+        raise ValueError(f"selected permutations must have length {length}") from None
+    except OverflowError:
+        raise ValueError(f"selected entries must be permutations of 1..{length}") from None
+    if (np.sort(table, axis=1) != np.arange(1, length + 1)).any():
+        raise ValueError(f"selected entries must be permutations of 1..{length}")
+    ranks = np.sort(_kernels.lehmer_ranks(table))
+    if (ranks[1:] == ranks[:-1]).any():
+        raise ValueError("duplicate selected permutation")
+    return tuple(ranks.tolist())
 
 
 class TestCertificateSerialization:
@@ -422,6 +478,45 @@ class TestCertificateSerialization:
         ):
             with pytest.raises(ValueError):
                 parse_selected(3, bad)
+
+    @pytest.mark.parametrize("n, selected", [
+        (3, ["21343", "124"]),  # the joined text holds two permutations
+        (3, ["2413", 1234]),  # not a string
+        (3, ["\u0662\u0664\u0661\u0663", "1234"]),  # Arabic-Indic digits int() reads
+        (3, [" 2413\n", "1234"]),
+        (3, ["2,4,1,3", "1234"]),
+        (3, ["2413", "1,234"]),  # n+1 characters, not all digits
+        (3, ["12 4"]),
+        (3, []),
+        (9, ["10,1,2,3,4,5,6,7,8,9", "1,2,3,4,5,6,7,8,9,10"]),
+        (9, ["1,2,3,4,5,6,7,8,9,10", "1,2,3,4,5,6,7,8,9,10"]),
+    ])
+    def test_parse_selected_matches_per_entry_parsing(self, n, selected):
+        # every list behaves as under a parse_perm call per entry: the
+        # same ranks, or the same exception type and message
+        def outcome(parse):
+            try:
+                return parse(n, selected)
+            except (ValueError, TypeError, AttributeError) as exc:
+                return type(exc), str(exc)
+
+        assert outcome(parse_selected) == outcome(reference_parse_selected)
+
+    def test_cache_hit_parses_without_parse_perm(self, graph, tmp_path, monkeypatch):
+        # a stored n = 7 cover is in the canonical digit form, which is read
+        # as one table; a per-entry parse would call parse_perm 2267 times
+        from permcover.cache import load_certificate, store_certificate
+
+        g = graph(7)
+        store_certificate(tmp_path, alteration_cover(g, 1))
+        calls = []
+        for module in (perms, cover):
+            real = module.parse_perm
+            monkeypatch.setattr(module, "parse_perm",
+                                lambda s, real=real: calls.append(s) or real(s))
+        cert = load_certificate(tmp_path, g, 1, "alteration", 1, [])
+        assert cert is not None and cert.size == 2267
+        assert calls == []
 
     def test_selected_serialized_as_strings(self, graph):
         cert = greedy_cover(graph(3))

@@ -35,7 +35,7 @@ def test_tracer_counts_exact_branches():
         "    code = dispatch(['--quiet', 'solve', '--n', '3', '--lambda', '3', "
         "'--method', 'exact', '--no-cache'])\n"
         "assert code == 0, code\n"
-        "assert tracer.counts['cover.exact_branches'] == 3672, tracer.counts\n"
+        "assert tracer.counts['cover.exact_branches'] == 3639, tracer.counts\n"
         "assert any(s.name == '_kernels.greedy_select' for s in tracer.spans)\n"
     )
     proc = subprocess.run(
