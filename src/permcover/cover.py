@@ -299,8 +299,8 @@ def _patch_uncovered(g: CoverageGraph, picks: np.ndarray, lam: int) -> tuple[int
     flags = np.zeros(g.n_covers, dtype=bool)
     flags[picks] = True
     counts = flags[g.cover_ranks].sum(axis=1)
-    chosen = bytearray(flags.tobytes())
-    short, counts = np.flatnonzero(counts < lam).tolist(), counts.tolist() + [0]
+    short = np.flatnonzero(counts < lam).tolist()
+    chosen, counts = bytearray(flags.tobytes()), counts.tolist() + [0]
     for p in short:
         need = lam - counts[p]
         # rows are rank-sorted, so the first unselected are lowest-rank;
