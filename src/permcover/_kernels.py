@@ -94,10 +94,9 @@ def lehmer_unrank(ranks: np.ndarray, length: int) -> np.ndarray:
 # Monte Carlo inner loop, bit-sliced (Biham, FSE 1997): the trials of a
 # batch are bit lanes, so one OR over a row of words serves 64 trials.
 #
-# cover_ranks is the (n!, n^2+1) table of covering ranks per pattern, in
-# either memory order; a column-major intp copy (the graph caches one)
-# gathers from contiguous columns, 2.5 -> 2.0 ms of OR-gather per 256-trial
-# chunk at n = 7 (Python 3.11, numpy 2.4, 2 cores).
+# cover_ranks is the graph's (n!, n^2+1) table of covering ranks per
+# pattern, intp and column-major: each step gathers one of its columns, and
+# `take` reads that contiguous run as its index without a cast.
 # words is (ceil(trials/64), (n+1)!) uint64, one row per block of 64
 # trials: bit t of words[b, c] is set when trial 64*b + t selects cover c.
 # The n^2+1 cover columns of every pattern are gathered and OR-ed

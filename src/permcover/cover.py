@@ -296,8 +296,7 @@ def _patch_uncovered(g: CoverageGraph, picks: np.ndarray, lam: int) -> tuple[int
     dominate it.  The counts list has a slot for the pattern rows' padding
     sentinel n!, which no visit reads.
     """
-    flags = np.zeros(g.n_covers, dtype=bool)
-    flags[picks] = True
+    flags = selection_flags(g, picks)
     counts = flags[g.cover_ranks].sum(axis=1)
     short = np.flatnonzero(counts < lam).tolist()
     chosen, counts = bytearray(flags.tobytes()), counts.tolist() + [0]

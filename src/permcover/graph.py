@@ -4,10 +4,10 @@ The graph stores both adjacency directions densely, indexed by
 lexicographic rank: ``cover_ranks[p]`` lists the n^2+1 ranks of covers of
 pattern p, and row r of the padded table ``pattern_rows`` lists the
 distinct patterns of cover r in ascending order, followed by
-``succ_counts[r]`` copies of the sentinel n!.  These arrays are read-only
-after build; the pair statistics and a column-major copy of ``cover_ranks``
-are computed on first use and then cached (two threads reading one first
-may both compute it, with one result).
+``succ_counts[r]`` copies of the sentinel n!.  ``cover_ranks`` is intp and
+column-major, so it indexes without a cast and the counting kernel reads
+each of its columns contiguously.  These arrays are read-only after build;
+the pair statistics are computed on first use and then cached.
 
 One recursion yields S_{n+1} with the rank of every one-letter deletion
 (``_kernels.perms_and_deletions``).  Deleting at two adjacent positions
@@ -70,7 +70,6 @@ class CoverageGraph:
         for arr in (cover_ranks, pattern_rows, succ_counts):
             arr.flags.writeable = False  # the queries hand out views of these
         self._pair_stats = None
-        self._column_major = None
 
     # -- queries ------------------------------------------------------------
 
@@ -123,32 +122,22 @@ class CoverageGraph:
             ))
         return self._pair_stats
 
-    def column_major_cover_ranks(self) -> np.ndarray:
-        """``cover_ranks`` as a column-major intp copy, built once and cached.
-
-        The counting kernel gathers one column per step: here each column
-        is contiguous, and ``take`` needs no index cast.  (n^2+1) * n! * 8
-        bytes: 2 MB at n = 7, 21 MB at n = 8.
-        """
-        if self._column_major is None:
-            table = np.asfortranarray(self.cover_ranks, dtype=np.intp)
-            table.flags.writeable = False
-            self._column_major = table
-        return self._column_major
-
 
 def selection_flags(g: CoverageGraph, sel) -> np.ndarray:
     """A selection of covers as a boolean mask over the ranks of S_{n+1}.
 
     ``sel`` is a boolean mask of length (n+1)!, or any other array-like
-    read as the selected ranks (possibly empty).
+    read as the selected ranks (possibly empty), which must be integers:
+    ranks of any other dtype raise ValueError rather than being truncated.
     """
     arr = np.asarray(sel)
     if arr.dtype == bool:
         if arr.shape != (g.n_covers,):
             raise ValueError(f"expected {g.n_covers} selection flags")
         return arr
-    ranks = arr.astype(np.int64, copy=False)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"selected ranks must be integers, not {arr.dtype}")
+    ranks = arr.astype(np.intp, copy=False)
     if ranks.size and (ranks.min() < 0 or ranks.max() >= g.n_covers):
         raise ValueError(f"rank out of range 0..{g.n_covers - 1} for S_{g.n + 1}")
     flags = np.zeros(g.n_covers, dtype=bool)
@@ -197,7 +186,7 @@ def build_graph(n: int, *, max_n: int = DEFAULT_MAX_N) -> CoverageGraph:
     by_pattern = np.argsort(keys, kind="stable")[: n_patterns * per_pattern]
     del keys
     by_pattern //= n + 1
-    cover_ranks = by_pattern.astype(np.int32).reshape(n_patterns, per_pattern)
+    cover_ranks = np.asfortranarray(by_pattern.reshape(n_patterns, per_pattern))
 
     return CoverageGraph(n, cover_ranks, pattern_rows, succ_counts)
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from permcover import _kernels
+from permcover.cover import verify_cover
 from permcover.errors import ResourceLimitError
 from permcover.graph import (
     CoverageGraph,
@@ -29,6 +30,7 @@ from permcover.perms import (
     symmetry,
     unrank,
 )
+from permcover.threshold import count_uncovered
 
 needs_vmhwm = pytest.mark.skipif(not Path("/proc/self/status").exists(),
                                  reason="needs Linux VmHWM")
@@ -57,6 +59,14 @@ class TestSelectionFlags:
         for bad in ([24], [-1], [0, 99]):
             with pytest.raises(ValueError, match="rank out of range"):
                 selection_flags(g, bad)
+
+    def test_non_integer_ranks_rejected(self, graph):
+        # a rank of any non-integer dtype is an error, never truncated
+        g = graph(3)
+        for bad in ([0.5], [2.9, 21.2], np.array([1.0]), ["3"]):
+            for read in (selection_flags, verify_cover, count_uncovered):
+                with pytest.raises(ValueError, match="must be integers"):
+                    read(g, bad)
 
     def test_wrong_length_mask(self, graph):
         with pytest.raises(ValueError, match="expected 24 selection flags"):
@@ -141,7 +151,7 @@ class TestBuild:
 
     @pytest.mark.parametrize("n, pinned", [
         (7, {
-            "cover_ranks": ("int32", (5040, 50),
+            "cover_ranks": ("int64", (5040, 50),
                             "1d58f540dea94dfd8bebfbd6eeefa495c7a5977cf9194b071525c9fa34de4898"),
             "pattern_rows": ("int32", (40320, 8),
                              "ec609e99b26cfc9213c2e39fbfd78623180307a306e20af1be85716aa01d9500"),
@@ -153,7 +163,7 @@ class TestBuild:
                             "33a319f7634ced5b57e70a14668a378a6b53529da7dd1842263df40e66beb62f"),
         }),
         (8, {
-            "cover_ranks": ("int32", (40320, 65),
+            "cover_ranks": ("int64", (40320, 65),
                             "adb35a0215fd962f4906394b4af45e7dd04589aaef417a19096386bd4e70c9e7"),
             "pattern_rows": ("int32", (362880, 9),
                              "53e340b184acf3b92fdff31f206c3d58a5522fb508dc2033745d5abd5745eba9"),
@@ -179,7 +189,17 @@ class TestBuild:
         for name, (dtype, shape, digest) in pinned.items():
             arr = arrays[name]
             assert (arr.dtype, arr.shape) == (np.dtype(dtype), shape), name
-            assert hashlib.sha256(arr.tobytes()).hexdigest() == digest, name
+            # the cover table is hashed as the int32 it was first pinned in
+            hashed = arr.astype(np.int32) if name == "cover_ranks" else arr
+            assert hashlib.sha256(hashed.tobytes()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cover_table_layout(self, n, graph):
+        # the one cover table: intp, so it indexes without a cast, and
+        # column-major, so the counting kernel reads contiguous columns
+        table = graph(n).cover_ranks
+        assert table.dtype == np.intp and table.flags.f_contiguous
+        assert not table.flags.writeable
 
     @pytest.mark.parametrize("position, message", [
         (0, "not uniformly"),  # 2413 -> 2431, which 13524 does not contain

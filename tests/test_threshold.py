@@ -9,6 +9,7 @@ import pytest
 
 from permcover import _kernels, threshold
 from permcover.cover import verify_cover
+from permcover.graph import build_graph
 from permcover.perms import Permutation, rank
 from permcover.threshold import (
     CoverProbability,
@@ -583,6 +584,34 @@ class TestMonteCarlo:
         hist = run_uncovered_counts(graph(4), 0.1, trials, master_seed=3, workers=workers)
         assert hist.sum() == trials
         assert peak[0] <= 2 * workers
+
+    def test_chunks_read_the_graphs_own_table(self, graph, monkeypatch):
+        # the counting kernel gets g.cover_ranks itself, never a copy
+        g = graph(4)
+        tables = []
+
+        def recorded(cover_ranks, words, trials):
+            tables.append(cover_ranks)
+            return count_chunk(cover_ranks, words, trials)
+
+        count_chunk = _kernels.count_uncovered_chunk
+        monkeypatch.setattr(_kernels, "count_uncovered_chunk", recorded)
+        run_uncovered_counts(g, 0.1, 3 * threshold._CHUNK_TRIALS, master_seed=5, workers=2)
+        assert len(tables) == 3
+        assert all(table is g.cover_ranks for table in tables)
+
+    def test_a_run_leaves_the_graph_as_built(self):
+        # a Monte Carlo run adds no attribute, cache or array to the graph
+        g = build_graph(5)
+
+        def held_bytes():
+            return sum(v.nbytes for v in vars(g).values() if isinstance(v, np.ndarray))
+
+        before, nbytes = dict(vars(g)), held_bytes()
+        run_uncovered_counts(g, 0.05, 2 * threshold._CHUNK_TRIALS, master_seed=1, workers=2)
+        assert vars(g).keys() == before.keys()
+        assert all(vars(g)[k] is v for k, v in before.items())
+        assert held_bytes() == nbytes
 
     @pytest.mark.parametrize("stream", [-1, 2**64])
     def test_stream_out_of_range(self, graph, stream):
