@@ -3,14 +3,15 @@
 Layout: <cache_dir>/<n>-<lambda>-<method>-<seed>.json, one bare
 certificate document per file.  Stores are atomic (write to a temp file
 in the same directory, then rename).  A load reads only the entry's
-``selected`` list, re-verifies it against a graph this process built
-with `build_graph`, never anything read from the cache file, and derives
-everything else from the request, so a corrupt or tampered entry
-is either quarantined or has nothing left to claim.  A quarantine appends
-its message to the ``notes`` list the caller passes, which the CLI writes
-as the envelope's warnings or as CSV comments.  An exact entry claims
-optimality, so it is kept only when the checked LP dual proves it: the
-dual's bound equals the cover's size.
+``selected`` list, ``status`` and ``initial_size``, re-verifies the list
+against a graph this process built with `build_graph`, never anything
+read from the cache file, quarantines the entry when a field breaks a
+rule, and derives everything else from the request, so a corrupt or
+tampered entry is either quarantined or has nothing left to claim.  A
+quarantine appends its message to the ``notes`` list the caller passes,
+which the CLI writes as the envelope's warnings or as CSV comments.  An
+exact entry claims optimality, so it is kept only when the checked LP
+dual proves it: the dual's bound equals the cover's size.
 """
 from __future__ import annotations
 

@@ -207,7 +207,11 @@ def _cmd_solve(args) -> Result:
         deficient = len(verify_cover(g, cert.selected, lam).deficiencies)
         # store_certificate keeps an exact result only when its dual proves it
         if use_cache and not deficient:
-            store_certificate(args.cache_dir, cert)
+            try:
+                store_certificate(args.cache_dir, cert)
+            except OSError as exc:  # the cover is verified: report it, uncached
+                notes.append(f"could not store the certificate in {args.cache_dir}: "
+                             f"{exc.strerror or exc}")
 
     config = {
         "subcommand": "solve",

@@ -30,7 +30,7 @@ import dataclasses
 import sys
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
-from math import exp, factorial, inf, lgamma, log, log1p, sqrt, pi
+from math import exp, expm1, factorial, inf, lgamma, log, log1p, sqrt, pi
 
 import numpy as np
 
@@ -212,53 +212,47 @@ def stein_chen_bound(g: CoverageGraph, p: float) -> float:
 # Analytic threshold quantities
 
 
+def _window_p(n: int, K: float) -> float:
+    """(log n - 1 + (log n)/(2n) - K/n) / n: the critical window at offset K."""
+    return (log(n) - 1.0 + 0.5 * log(n) / n - K / n) / n
+
+
 def threshold_boundaries(n: int, omega: float) -> tuple[float, float]:
     """Analytic (non-coverage, coverage) boundary selection probabilities.
 
     Below p_zero the random ensemble asymptotically fails to cover; above
     p_one it asymptotically covers.  omega, positive and finite, is the
-    diverging slack.  Both are clamped to [0, 1], which the formulas leave
-    at small n or large omega.  p_one - p_zero is 2 omega / n^2 > 0, but at
-    tiny omega rounding can leave p_zero an ulp above p_one, which is then
-    raised to it.
+    diverging slack: p_zero and p_one are the critical window at K = omega
+    and K = -omega, clamped to [0, 1], which the formula leaves at small n
+    or large omega.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     if not 0 < omega < inf:  # also rejects NaN
         raise ValueError(f"omega must be positive and finite, got {omega}")
-    ln = log(n)
-    p_zero = (ln - 1.0 + 0.5 * ln / n - omega / n) / n
-    p_one = max(ln / n - 1.0 / n + ln / (2.0 * n * n) + omega / (n * n), p_zero)
-    return min(max(p_zero, 0.0), 1.0), min(max(p_one, 0.0), 1.0)
+    return min(max(_window_p(n, omega), 0.0), 1.0), min(max(_window_p(n, -omega), 0.0), 1.0)
 
 
 def critical_window_p(n: int, K: float) -> float:
-    """Selection probability at offset K inside the critical window:
-    (log n - 1 + (log n)/(2n) - K/n) / n.  Decreasing in K."""
-    p = (log(n) - 1.0 + 0.5 * log(n) / n - K / n) / n
+    """Selection probability at offset K inside the critical window
+    (see ``_window_p``).  Decreasing in K."""
+    p = _window_p(n, K)
     if not 0.0 < p < 1.0:
         raise ValueError(f"window offset K={K} gives p={p} outside (0, 1)")
     return p
 
 
 def p_for_mean(n: int, mean_target: float) -> float:
-    """The unique p in [0, 1) with E[X] = mean_target, by bisection.
-
-    Monotone bisection on exact_mean to absolute tolerance 1e-12.
+    """The p in [0, 1] with E[X] = n! (1-p)^(n^2+1) = mean_target, solved in
+    log space.  log is taken of the integer n!, which stays finite past
+    n = 170, where n! overflows a double.  p can round to 1.0: at n = 1,
+    any target below about 3e-33.
     """
     nfact = factorial(n)
     if not 0.0 < mean_target <= nfact:
         raise ValueError(f"mean target must be in (0, {nfact}]")
-    if mean_target == nfact:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if exact_mean(n, mid) > mean_target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # max turns the -0.0 of -expm1(0.0) at mean_target = n! into 0.0
+    return max(0.0, -expm1((log(mean_target) - log(nfact)) / covers_per_pattern(n)))
 
 
 # ---------------------------------------------------------------------------

@@ -442,6 +442,12 @@ class TestDispatch:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "cache").exists()
 
+    def test_lambda_verb_needs_lambda_2(self, tmp_path, monkeypatch, capsys):
+        # the lambda verb keeps solve's --lambda default of 1
+        forbid_builds(monkeypatch)
+        assert run(tmp_path, "lambda", "--n", "5", "--seed", "1") == 2
+        assert "solve --method lambda requires --lambda >= 2" in capsys.readouterr().err
+
     def test_lambda_verb(self, tmp_path, capsys):
         assert run(tmp_path, "lambda", "--n", "3", "--lambda", "2", "--seed", "7") == 0
         assert "method=lambda" in capsys.readouterr().out
@@ -514,6 +520,30 @@ class TestCache:
         assert cache.best_known_size(tmp_path, 3, 1, build_graph, notes) is None
         assert any("failed validation (unreadable" in note for note in notes)
         assert not path.exists()
+
+    def test_failed_store_leaves_no_temp_file(self, tmp_path, graph, monkeypatch):
+        def no_rename(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cache.os, "replace", no_rename)
+        with pytest.raises(OSError, match="No space left"):
+            cache.store_certificate(tmp_path, greedy_cover(graph(3)))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_quarantine_leaves_the_entry(self, tmp_path, graph, monkeypatch):
+        g = graph(3)
+        path = cache.store_certificate(tmp_path, greedy_cover(g))
+        path.write_text("{ not json")
+
+        def no_rename(src, dst):
+            raise OSError(13, "Permission denied")
+
+        monkeypatch.setattr(cache.os, "replace", no_rename)
+        notes = []
+        assert cache.load_certificate(tmp_path, g, 1, "greedy", None, notes) is None
+        [note] = notes
+        assert note.endswith("could not quarantine")
+        assert path.read_text() == "{ not json"
 
     def test_concurrent_stores_one_winner(self, tmp_path, graph):
         g = graph(3)
@@ -894,6 +924,23 @@ class TestSolveCache:
         assert run(tmp_path, *argv) == 2
         assert not out.exists()
         assert "time_budget must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["a-file", "under-a-file"])
+    def test_unusable_cache_dir_warns_and_reports_the_cover(self, tmp_path, capsys, sub):
+        # the cover is verified before the store, so a cache directory that
+        # cannot be made costs the cache entry, not the result
+        blocker = tmp_path / "notadir"
+        blocker.write_text("")
+        argv = ("--quiet", "solve", "--n", "3", "--method", "greedy")
+        out, fresh = tmp_path / "out.json", tmp_path / "fresh.json"
+        assert dispatch(["--cache-dir", str(blocker / sub), *argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert run(tmp_path, *argv, "--no-cache", "--out", str(fresh)) == 0
+        doc, fresh_doc = json.loads(out.read_text()), json.loads(fresh.read_text())
+        assert doc["payload"] == fresh_doc["payload"]
+        [warning] = doc["warnings"]
+        assert warning.startswith("could not store the certificate in ")
+        assert blocker.read_text() == ""
 
     def test_failed_verification_is_not_stored(self, tmp_path, monkeypatch, capsys):
         # a construction that returns a non-cover must not reach the cache,

@@ -19,6 +19,7 @@ from permcover.cover import (
     format_selected,
     greedy_cover,
     lambda_cover,
+    multicover_default_draws,
     multicover_upper_bound,
     parse_selected,
     pigeonhole_lower_bound,
@@ -87,6 +88,26 @@ class TestBounds:
             multicover_upper_bound(6, 1)
         with pytest.raises(ValueError):
             multicover_upper_bound(2, 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g: pigeonhole_lower_bound(0), "need n >= 1 and lam >= 1"),
+    (lambda g: pigeonhole_lower_bound(3, 0), "need n >= 1 and lam >= 1"),
+    (lambda g: alteration_upper_bound(1), "defined for n >= 2"),
+    (lambda g: alteration_upper_bound_loose(1), "defined for n >= 2"),
+    (lambda g: alteration_default_initial_size(1), "defined for n >= 2"),
+    (lambda g: multicover_default_draws(4, 1), "lam >= 2 required"),
+    (lambda g: multicover_default_draws(2, 2), "needs n >= 3"),
+    (lambda g: verify_cover(g, [], 0), "lam must be >= 1"),
+    (lambda g: alteration_cover(g, 0, initial_size=25), r"initial_size must be in 0\.\.24"),
+    (lambda g: alteration_cover(g, 0, initial_size=-1), r"initial_size must be in 0\.\.24"),
+    (lambda g: lambda_cover(g, 2, seed=0, draws=-1), "draws must be >= 0"),
+], ids=["pigeonhole-n", "pigeonhole-lam", "alteration-bound", "alteration-bound-loose",
+        "alteration-initial-size", "multicover-draws-lam", "multicover-draws-n",
+        "verify-lam", "alteration-y-above", "alteration-y-below", "lambda-draws"])
+def test_input_checks(graph, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(graph(3))
 
 
 class TestExpectedUncovered:

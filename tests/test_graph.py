@@ -459,6 +459,19 @@ class TestAudit:
             "shared_covers": 4,
         }]
 
+    def test_partner_count_above_n_cubed_is_reported(self):
+        # this violation never occurs on a correct graph (max_J is 5 < 27
+        # at n = 3), so feed the audit pair statistics in which pattern 2
+        # has n^3 + 1 partners
+        g = build_graph(3)
+        stats = g.joint_count_matrix()
+        partners = stats.partners.copy()
+        partners[2] = 28
+        g._pair_stats = stats._replace(partners=partners)
+        rep = audit_joint_coverage(g)
+        assert rep["max_J"] == 28 and rep["argmax_J"] == str(unrank(3, 2))
+        assert {"kind": "joint_partner_count_exceeds_n3", "max_J": 28} in rep["violations"]
+
     def test_symmetry_of_co_coverability(self, graph):
         for n in (3, 4, 5):
             g = graph(n)

@@ -1,6 +1,8 @@
 """The declared runtime dependencies match the one kernel implementation."""
 import ast
+import doctest
 import fnmatch
+import importlib
 import re
 import subprocess
 import sys
@@ -122,3 +124,13 @@ def test_no_unused_imports():
     assert {name: names for name, names in found.items() if names} == {}
     # the check itself catches a stray import
     assert unused_imports("import dataclasses\nimport os\nos.sep\n") == ["dataclasses"]
+
+
+def test_every_modules_doctest_examples_pass():
+    attempted = 0
+    for path in sorted(SRC.glob("*.py")):
+        name = "permcover" if path.stem == "__init__" else f"permcover.{path.stem}"
+        result = doctest.testmod(importlib.import_module(name))
+        assert result.failed == 0, name
+        attempted += result.attempted
+    assert attempted > 0

@@ -203,6 +203,12 @@ class TestSerialization:
             parse_perm("")
 
 
+@pytest.mark.parametrize("pos", [0, 4])
+def test_getitem_position_out_of_range(pos):
+    with pytest.raises(ValueError, match=r"position .* out of range 1\.\.3"):
+        Permutation((2, 3, 1))[pos]
+
+
 def test_doctests():
     result = doctest.testmod(permcover.perms)
     assert result.failed == 0

@@ -2,7 +2,7 @@ import itertools
 import threading
 import warnings
 import weakref
-from math import exp, factorial, inf, lgamma, log, nan, sqrt
+from math import copysign, exp, factorial, fsum, inf, lgamma, log, nan, nextafter, sqrt
 
 import numpy as np
 import pytest
@@ -449,6 +449,40 @@ class TestAnalyticThresholds:
         p = p_for_mean(n, target)
         assert exact_mean(n, p) == pytest.approx(target, rel=1e-9)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_p_for_mean_inverts_the_mean(self, n):
+        for target in (1e-3, 0.05, 1.0, 20.0, factorial(n) / 2):
+            if target <= factorial(n):
+                p = p_for_mean(n, target)
+                assert exact_mean(n, p) == pytest.approx(target, rel=1e-13, abs=0), target
+
+    def test_p_for_mean_is_never_negative(self):
+        # at mean_target = n! the formula gives -expm1(0.0) = -0.0
+        for n in range(1, 30):
+            assert copysign(1.0, p_for_mean(n, factorial(n))) == 1.0
+            target = float(factorial(n))
+            if target > factorial(n):  # from n = 23, n! rounds up to a double
+                target = nextafter(target, 0.0)
+            for _ in range(200):
+                target = nextafter(target, 0.0)
+                p = p_for_mean(n, target)
+                assert p >= 0.0 and copysign(1.0, p) == 1.0, (n, target)
+
+    def test_p_for_mean_past_the_largest_float_factorial(self):
+        # 200! overflows a double; the mean at the returned p still reads 1
+        p = p_for_mean(200, 1.0)
+        assert 0.0 < p < 1.0
+        assert exact_mean(200, p) == pytest.approx(1.0, rel=1e-13)
+
+    def test_boundaries_are_the_window_at_plus_and_minus_omega(self):
+        def window(n, K):  # the paper's critical window, clamped to [0, 1]
+            return min(max((log(n) - 1.0 + 0.5 * log(n) / n - K / n) / n, 0.0), 1.0)
+
+        for n in range(2, 51):
+            for exponent in range(-30, 301):
+                omega = 10.0 ** exponent
+                assert threshold_boundaries(n, omega) == (window(n, omega), window(n, -omega))
+
     def test_p_for_mean_range_errors(self):
         with pytest.raises(ValueError):
             p_for_mean(3, 0.0)
@@ -487,6 +521,19 @@ class TestDistributionHelpers:
         assert float(pmf.sum()) + tail == pytest.approx(1.0, abs=1e-11)
         assert float(np.arange(k_max + 1) @ pmf) == pytest.approx(lam, rel=1e-9)
 
+    @pytest.mark.parametrize("lam", [1000.0, 4e4])
+    def test_k_max_from_the_tail_bound_is_the_smallest(self, lam):
+        # here the summed terms stop short of 1 - 1e-12, so k_max comes
+        # from the bound on the tail past the mode
+        k_max = poisson_k_max(lam)
+        assert poisson_pmf(lam, k_max)[1] > 1e-12
+        end = int(lam + 60 * sqrt(lam))
+
+        def tail(start):
+            return fsum(exp(k * log(lam) - lam - lgamma(k + 1)) for k in range(start, end))
+
+        assert tail(k_max + 1) < 1e-12 <= tail(k_max)
+
     def test_poisson_start_far_beyond_k_max(self, monkeypatch):
         # every term up to k_max underflows; the start search must not walk
         # to the mode one term at a time
@@ -520,6 +567,19 @@ class TestDistributionHelpers:
         lo, hi = wilson_interval(0, 10)
         assert lo == pytest.approx(0.0, abs=1e-12)
         assert 0.0 < hi < 0.35
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g: stein_chen_raw(g, 1.5), r"p must be in \[0, 1\]"),
+    (lambda g: poisson_pmf(-1.0, 3), "lam must be >= 0"),
+    (lambda g: poisson_pmf(1.0, -1), "k_max must be >= 0"),
+    (lambda g: poisson_k_max(-1.0), "lam must be >= 0"),
+    (lambda g: wilson_interval(0, 0), "trials must be >= 1"),
+    (lambda g: run_uncovered_counts(g, -0.5, 64, 0), r"p must be in \[0, 1\]"),
+], ids=["stein-chen-p", "pmf-lam", "pmf-k-max", "k-max-lam", "wilson-trials", "counts-p"])
+def test_input_checks(graph, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(graph(3))
 
 
 class TestMonteCarlo:
