@@ -96,14 +96,20 @@ def load_certificate(
     size; anything else (an older version's timed-out result, or a
     verifying cover that is not minimum) cannot prove its claim.
     Randomized entries hold the default initial size, since requests that
-    set their own bypass the cache.  Entries breaking either rule are
-    quarantined like unreadable or non-verifying ones.
+    set their own bypass the cache.  Entries breaking either rule, and
+    entries under a key whose method has no default size at (n, lam), so
+    that no run stores them, are quarantined like unreadable or
+    non-verifying ones.
     """
     key = certificate_key(g.n, lam, method, seed)
     path = certificate_path(cache_dir, key)
     if not path.exists():
         return None
-    initial_size = default_initial_size(method, g.n, lam)
+    try:
+        initial_size = default_initial_size(method, g.n, lam)
+    except ValueError as exc:  # e.g. alteration at n = 1: no run stores this key
+        _quarantine(path, f"no run stores this key: {exc}", notes)
+        return None
     try:
         with open(path) as fh:
             doc = json.load(fh)

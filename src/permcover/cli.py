@@ -64,6 +64,7 @@ from .cover import (
 from .errors import ResourceLimitError
 from .graph import DEFAULT_MAX_N, CoverageGraph, audit_joint_coverage, build_graph
 from .threshold import (
+    MAX_WORKERS,
     critical_window_p,
     gap_experiment,
     p_for_mean,
@@ -73,13 +74,15 @@ from .threshold import (
 
 
 def _workers(text: str) -> int:
-    """argparse type for --workers: an integer >= 1."""
+    """argparse type for --workers: an integer in [1, MAX_WORKERS]."""
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"workers must be an integer >= 1, got {text!r}")
+    if value > MAX_WORKERS:
+        raise argparse.ArgumentTypeError(f"workers must be at most {MAX_WORKERS}, got {text!r}")
     return value
 
 
@@ -382,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quiet", action="store_true", help="suppress the stdout summary")
     # None when absent: `_settle` fills these three from the environment
     parser.add_argument("--workers", type=_workers,
-                        help="worker threads for Monte Carlo, >= 1 (default: PERMCOVER_WORKERS or 1)")
+                        help=f"worker threads for Monte Carlo, 1..{MAX_WORKERS} "
+                        "(default: PERMCOVER_WORKERS or 1)")
     parser.add_argument("--cache-dir",
                         help="certificate cache directory (default: PERMCOVER_CACHE or ./permcover-cache)")
     parser.add_argument("--max-n", type=int,

@@ -372,8 +372,8 @@ def exact_min_cover(
     count_p)^+ under the LP dual (w, D) of ``permcover.dual``, checked
     against ``g``, since no cover can lower W by more than D.  Once the
     incumbent meets the dual bound ceil(lam sum(w) / D), which is never
-    below the pigeonhole count, the search stops: it enters no node and
-    unwinds the path without trying any ancestor's remaining candidates.
+    below the pigeonhole count, the search stops at once, without trying
+    any ancestor's remaining candidates.
     Neither bound cuts off a cover smaller than the incumbent, so the
     incumbents, and the witness, are those an unpruned search finds.
 
@@ -414,32 +414,30 @@ def exact_min_cover(
     todo = None  # the current node's untried candidates; None on entering it
     timed_out = False
     nodes = 0
-    while True:
+    while len(best) > floor:
         if todo is None:  # entering a node
             todo = ()
-            if not timed_out and len(best) != floor:
-                nodes += 1
-                if nodes % 256 == 0 and time.perf_counter() > deadline:
-                    timed_out = True
-                elif deficiency == 0:
-                    if len(path) < len(best):
-                        best = sorted(step[0] for step in path)
-                elif (len(path) + -(-load // denominator) < len(best)
-                      and len(path) + -(-deficiency // int(gains.max())) < len(best)):
-                    # lowest rank among the largest shortfalls
-                    todo = iter(cover_rows[counts.argmin()].tolist())
+            nodes += 1
+            if nodes % 256 == 0 and time.perf_counter() > deadline:
+                timed_out = True
+                break
+            if deficiency == 0:
+                if len(path) < len(best):
+                    best = sorted(step[0] for step in path)
+            elif (len(path) + -(-load // denominator) < len(best)
+                  and len(path) + -(-deficiency // int(gains.max())) < len(best)):
+                # lowest rank among the largest shortfalls
+                todo = iter(cover_rows[counts.argmin()].tolist())
         for r in todo:
             if gains[r] >= 0:  # not already chosen
                 break
         else:  # the node is done: undo the step that led to it
             if not path:
                 break
-            r, row, reached, lowered, deficiency, load, todo = path.pop()
+            r, row, lowered, deficiency, load, todo = path.pop()
             np.add.at(gains, lowered, 1)
             gains[r] += chosen_offset
-            counts[row] = reached - 1
-            if timed_out or len(best) == floor:
-                todo = ()
+            counts[row] -= 1  # a pattern row's entries are distinct
             continue
         row = g.pattern_row(r)
         reached = counts[row] + 1
@@ -449,7 +447,7 @@ def exact_min_cover(
         lowered = cover_rows[row[reached == lam]].ravel()
         np.subtract.at(gains, lowered, 1)
         gains[r] -= chosen_offset
-        path.append((r, row, reached, lowered, deficiency, load, todo))
+        path.append((r, row, lowered, deficiency, load, todo))
         deficiency -= helped.size
         load -= int(weights[helped].sum())
         todo = None

@@ -39,9 +39,6 @@ from .graph import CoverageGraph, covers_per_pattern, selection_flags
 
 Z95 = 1.959963984540054
 
-# Poisson mass the truncated reference may leave out (see poisson_k_max).
-_POISSON_TAIL_TOL = 1e-12
-
 # Trials per chunk, the unit of work a pool thread runs: four 64-trial
 # blocks.  It must stay a multiple of 64, so a chunk never splits a block
 # and the chunk size never changes which stream a trial's lane comes from.
@@ -50,6 +47,9 @@ _CHUNK_TRIALS = 256
 # Most trials in one run: 2**32 blocks of 64, the blocks whose spawn key
 # (see trial_rng) is injective.
 _MAX_TRIALS = 2**38
+
+# Most worker threads one run may start (``--workers``, PERMCOVER_WORKERS).
+MAX_WORKERS = 256
 
 # Rounds in which every cover draws a word, before only the covers with an
 # undecided lane do (see _bernoulli_words).  Part of the draw order.
@@ -162,24 +162,28 @@ def exact_mean(n: int, p: float) -> float:
     return exp(lgamma(n + 1) + covers_per_pattern(n) * log1p(-p))
 
 
+def _pair_terms(g: CoverageGraph, p: float) -> tuple[int, float, list[tuple[int, int]]]:
+    """(k, q, [(c, N_c)]) for the moments of X: k = n^2+1 covers per pattern,
+    q = (1-p)^k, and the nonzero counts N_c of ordered pattern pairs sharing
+    c >= 1 covers, in increasing c, from the graph's cached pair statistics."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must be in [0, 1]")
+    k = covers_per_pattern(g.n)
+    hist = g.joint_count_matrix().n_pairs
+    return k, (1.0 - p) ** k, [(c, int(hist[c])) for c in range(1, hist.shape[0]) if hist[c]]
+
+
 def exact_variance(g: CoverageGraph, p: float) -> float:
     """Exact Var(X) under the independent-selection model.
 
     Var(X) = n! q(1-q) + sum over ordered pattern pairs sharing c >= 1
     covers of ((1-p)^(2(n^2+1)-c) - q^2), with q = (1-p)^(n^2+1); pairs
-    with disjoint cover sets contribute nothing.  The pair counts N_c come
-    from the graph's cached sparse pair statistics.
+    with disjoint cover sets contribute nothing.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
-    k = covers_per_pattern(g.n)
-    q = (1.0 - p) ** k
-    hist = g.joint_count_matrix().n_pairs
+    k, q, pairs = _pair_terms(g, p)
     var = factorial(g.n) * q * (1.0 - q)
-    for c in range(1, hist.shape[0]):
-        n_pairs = int(hist[c])
-        if n_pairs:
-            var += n_pairs * ((1.0 - p) ** (2 * k - c) - q * q)
+    for c, n_pairs in pairs:
+        var += n_pairs * ((1.0 - p) ** (2 * k - c) - q * q)
     return var
 
 
@@ -189,17 +193,11 @@ def stein_chen_raw(g: CoverageGraph, p: float) -> float:
     The ratio is expanded so the p -> 1 limit (E(X) -> 0) stays finite:
     V/E - 1 = -q + (1/n!) * sum_c N_c ((1-p)^(n^2+1-c) - q).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
-    k = covers_per_pattern(g.n)
-    q = (1.0 - p) ** k
-    hist = g.joint_count_matrix().n_pairs
+    k, q, pairs = _pair_terms(g, p)
     ratio_minus_one = -q
     nfact = factorial(g.n)
-    for c in range(1, hist.shape[0]):
-        n_pairs = int(hist[c])
-        if n_pairs:
-            ratio_minus_one += n_pairs * ((1.0 - p) ** (k - c) - q) / nfact
+    for c, n_pairs in pairs:
+        ratio_minus_one += n_pairs * ((1.0 - p) ** (k - c) - q) / nfact
     return ratio_minus_one + 2.0 * q
 
 
@@ -291,24 +289,6 @@ def poisson_pmf(lam: float, k_max: int) -> tuple[np.ndarray, float]:
     return out, max(0.0, 1.0 - float(out.sum()))
 
 
-def poisson_k_max(lam: float) -> int:
-    """Smallest k_max whose truncated Poisson tail is below _POISSON_TAIL_TOL.
-
-    Past the mode the tail is also bounded by term * lam / (k + 1 - lam),
-    since at large lam the summed terms' rounding can exceed the tolerance."""
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    k, term = _poisson_start(lam)
-    cum = term
-    while 1.0 - cum > _POISSON_TAIL_TOL:
-        if k + 1 > lam and term * lam / (k + 1 - lam) <= _POISSON_TAIL_TOL:
-            break
-        k += 1
-        term *= lam / k
-        cum += term
-    return k
-
-
 def _as_pmf_dict(pmf) -> dict[int, float]:
     if isinstance(pmf, dict):
         return {int(k): float(v) for k, v in pmf.items()}
@@ -374,7 +354,8 @@ def run_uncovered_counts(
     which generator a block uses, and the histogram sum is
     order-insensitive.  Thread i sums chunks i, i + workers, ... as they
     finish, so memory does not grow with the trial count.  At most 2**38
-    trials, where the blocks' spawn keys stay distinct (see ``trial_rng``).
+    trials, where the blocks' spawn keys stay distinct (see ``trial_rng``),
+    and at most MAX_WORKERS threads.
     """
     if not 1 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be in [1, 2**38], got {trials}")
@@ -384,6 +365,8 @@ def run_uncovered_counts(
         raise ValueError("seed must be in [0, 2**64)")
     if not 0 <= stream < 2**64:
         raise ValueError("stream must be in [0, 2**64)")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
     starts = range(0, trials, _CHUNK_TRIALS)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(
@@ -465,11 +448,11 @@ def gap_experiment(
     by strings as JSON requires, plus the run's notes under ``warnings``,
     which the CLI moves to the envelope.
 
-    The reference is Poisson(n!(1-p)^(n^2+1)) truncated where its tail
-    drops below 1e-12; the whole empirical support is always enclosed, and
-    half the truncated tail is added to the reported distance so the
-    truncation can only overstate it.  Below 1000 trials the TV estimate
-    is flagged as noisy rather than refused.
+    ``tv_to_poisson`` is the exact total-variation distance from the
+    empirical law to Poisson(n!(1-p)^(n^2+1)): the reference runs to the
+    largest observed count, and its mass above that count, where the
+    empirical law has none, is one more term.  Below 1000 trials the TV
+    estimate is flagged as noisy rather than refused.
     """
     notes = []
     if trials < 1000:
@@ -487,9 +470,7 @@ def gap_experiment(
         variance = 0.0
 
     lam = exact_mean(g.n, p)
-    k_max = max(poisson_k_max(lam), int(observed.max()) if observed.size else 0)
-    ref, tail = poisson_pmf(lam, k_max)
-    tv = 0.5 * sum(abs(pmf.get(k, 0.0) - ref[k]) for k in range(k_max + 1)) + 0.5 * tail
+    tv = tv_distance(pmf, np.append(*poisson_pmf(lam, int(observed[-1]))))
 
     raw = stein_chen_raw(g, p)
 

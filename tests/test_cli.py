@@ -618,6 +618,24 @@ class TestCache:
         assert cache.best_known_size(tmp_path, 3, 1, lambda n: build_graph(n, max_n=2),
                                      []) is None
 
+    @pytest.mark.parametrize("key, argv, reason", [
+        ("1-1-alteration-5", ("--n-max", "2"), "defined for n >= 2"),
+        ("2-2-lambda-1", ("--n-min", "2", "--n-max", "3", "--lambda", "2"), "needs n >= 3"),
+        ("3-1-lambda-4", ("--n-max", "3"), "lam >= 2 required"),
+    ], ids=["alteration-n1", "lambda-n2", "lambda-lam1"])
+    def test_entry_no_run_stores_is_quarantined(self, tmp_path, capsys, key, argv, reason):
+        # the method has no default size at the key's (n, lambda), so no
+        # solve stores it: a verifying cover there is noted and moved, and
+        # bounds neither reports it nor fails
+        n, lam = map(int, key.split("-")[:2])
+        path = entry(tmp_path, key)
+        cache.store_certificate(tmp_path / "cache", greedy_cover(build_graph(n), lam)).rename(path)
+        out = tmp_path / "bounds.csv"
+        assert run(tmp_path, "bounds", *argv, "--out", str(out)) == 0
+        assert "best_known" not in capsys.readouterr().out
+        assert not path.exists() and path.with_suffix(".json.quarantined").exists()
+        assert f"{path.name} failed validation (no run stores this key: {reason}" in out.read_text()
+
 
 def solve_payload(tmp_path, name, *argv):
     """Run solve with --out and return (exit code, envelope)."""
@@ -664,6 +682,28 @@ class TestSettings:
                    "--out", str(out)) == 2
         assert not out.exists()
         assert "workers must be an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("env, flags, source", [
+        (None, ("--workers", "257"), ""),
+        ("257", (), " (from PERMCOVER_WORKERS)"),
+    ], ids=["flag", "variable"])
+    def test_workers_above_the_ceiling_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                        env, flags, source):
+        # checked before any graph is built, so no thread is ever started
+        forbid_builds(monkeypatch)
+        if env is None:
+            monkeypatch.delenv("PERMCOVER_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("PERMCOVER_WORKERS", env)
+        assert run(tmp_path, *flags, "gap", "--n", "3", "--K", "0", "--trials", "64",
+                   "--seed", "0") == 2
+        assert (f"argument --workers: workers must be at most 256, got '257'{source}"
+                in capsys.readouterr().err)
+
+    def test_workers_at_the_ceiling(self, tmp_path):
+        out = tmp_path / "g.json"
+        assert run(tmp_path, "--workers", "256", "graph", "--n", "2", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["execution"]["workers"] == 256
 
     @pytest.mark.parametrize("env, flag, expected", [
         (None, None, 1),
@@ -1084,7 +1124,7 @@ PINS = {
     "graph4": "bccd93d400be5bf6abfd3667a338c57463a49a9654883a0026f3b620c352b107",
     "audit4": "2f885a3c2caaa18e60d07b2df6069af7543c1443aa367b721c4ed5ee85a69190",
     "threshold4": "a0cea30a4ac857feed2047960214fde96858ccc32d849b141c4abbf7cdeb611d",
-    "gap4": "12eedd73fea938ab94fb3a48ba79aac915e942d36e22edd22b6968737e0d1159",
+    "gap4": "78df305b3d8ae4cd0616bfb25f9f94745269c868d1dbdfff58e93c411ffb53b9",
     "bounds5": "d86838827554cd3f566a4fdc04a900a11acb2d56b1942f34ad60eacd3d98309c",
     "bounds5-lambda2": "5dbccb9b12f7ed9b388d12b939276c788ca7657fe91a57545c755a49229f93b0",
 }

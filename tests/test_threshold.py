@@ -19,7 +19,6 @@ from permcover.threshold import (
     exact_variance,
     gap_experiment,
     p_for_mean,
-    poisson_k_max,
     poisson_pmf,
     run_uncovered_counts,
     sample_selection,
@@ -49,6 +48,29 @@ def exhaustive_law(g, p):
 def lgamma_poisson(lam, k_max):
     """Poisson terms for k = 0..k_max, each from its own log."""
     return np.array([exp(k * log(lam) - lam - lgamma(k + 1)) for k in range(k_max + 1)])
+
+
+def exact_tv_to_poisson(pmf, lam):
+    """TV from an empirical pmf {k: mass} to Poisson(lam), with math only.
+
+    Each term's log is a running sum of log(lam / j) out from the mode, so
+    none carries the rounding of a large lgamma, and the terms over the
+    mode +- 40 sd are normalized by their fsum.  The mass above the largest
+    observed count is one fsum.
+    """
+    mode, span = int(lam), int(40 * sqrt(lam)) + 40
+    ks = range(max(mode - span, 0), mode + span)
+    assert ks.start <= min(pmf) and max(pmf) < ks.stop
+    logw = {mode: 0.0}
+    for k in range(mode + 1, ks.stop):
+        logw[k] = logw[k - 1] + log(lam / k)
+    for k in range(mode - 1, ks.start - 1, -1):
+        logw[k] = logw[k + 1] - log(lam / (k + 1))
+    total = fsum(exp(v) for v in logw.values())
+    ref = {k: exp(v) / total for k, v in logw.items()}
+    top = max(pmf)
+    above = fsum(v for k, v in ref.items() if k > top)
+    return 0.5 * (fsum(abs(pmf.get(k, 0.0) - ref[k]) for k in ks if k <= top) + above)
 
 
 class TestTrialRng:
@@ -374,7 +396,7 @@ class TestSteinChen:
         trials = 10_000
         report = gap_experiment(g, p, trials, master_seed=3)
         lam = exact_mean(3, p)
-        ref, _ = poisson_pmf(lam, poisson_k_max(lam))
+        ref, _ = poisson_pmf(lam, 19)  # lam ~ 2.09: mass past 19 is below 1e-12
         se = tv_standard_error(ref, trials)
         assert report["tv_to_poisson"] <= stein_chen_bound(g, p) + 3 * se
 
@@ -503,7 +525,7 @@ class TestDistributionHelpers:
 
     @pytest.mark.parametrize("lam", [0.1, 1.0, 14.6])
     def test_poisson_mass_accounting(self, lam):
-        k_max = poisson_k_max(lam)
+        k_max = {0.1: 7, 1.0: 14, 14.6: 49}[lam]  # the smallest with the tail below 1e-12
         pmf, tail = poisson_pmf(lam, k_max)
         assert tail < 1e-12
         assert float(pmf.sum()) + tail == pytest.approx(1.0, abs=1e-12)
@@ -511,8 +533,7 @@ class TestDistributionHelpers:
     @pytest.mark.parametrize("lam", [1.0, 700.0, 745.0, 800.0, 5000.0])
     def test_poisson_matches_log_space_terms(self, lam):
         # above lam ~ 708 exp(-lam) underflows; the reference must not
-        k_max = poisson_k_max(lam)
-        assert k_max < lam + 20 * sqrt(lam) + 50  # not the safety stop
+        k_max = {1.0: 14, 700.0: 894, 745.0: 945, 800.0: 1007, 5000.0: 5488}[lam]
         pmf, tail = poisson_pmf(lam, k_max)
         ref = lgamma_poisson(lam, k_max)
         np.testing.assert_allclose(pmf, ref, rtol=1e-9, atol=1e-300)
@@ -520,19 +541,6 @@ class TestDistributionHelpers:
         assert tail < 1e-11
         assert float(pmf.sum()) + tail == pytest.approx(1.0, abs=1e-11)
         assert float(np.arange(k_max + 1) @ pmf) == pytest.approx(lam, rel=1e-9)
-
-    @pytest.mark.parametrize("lam", [1000.0, 4e4])
-    def test_k_max_from_the_tail_bound_is_the_smallest(self, lam):
-        # here the summed terms stop short of 1 - 1e-12, so k_max comes
-        # from the bound on the tail past the mode
-        k_max = poisson_k_max(lam)
-        assert poisson_pmf(lam, k_max)[1] > 1e-12
-        end = int(lam + 60 * sqrt(lam))
-
-        def tail(start):
-            return fsum(exp(k * log(lam) - lam - lgamma(k + 1)) for k in range(start, end))
-
-        assert tail(k_max + 1) < 1e-12 <= tail(k_max)
 
     def test_poisson_start_far_beyond_k_max(self, monkeypatch):
         # every term up to k_max underflows; the start search must not walk
@@ -573,16 +581,24 @@ class TestDistributionHelpers:
     (lambda g: stein_chen_raw(g, 1.5), r"p must be in \[0, 1\]"),
     (lambda g: poisson_pmf(-1.0, 3), "lam must be >= 0"),
     (lambda g: poisson_pmf(1.0, -1), "k_max must be >= 0"),
-    (lambda g: poisson_k_max(-1.0), "lam must be >= 0"),
     (lambda g: wilson_interval(0, 0), "trials must be >= 1"),
     (lambda g: run_uncovered_counts(g, -0.5, 64, 0), r"p must be in \[0, 1\]"),
-], ids=["stein-chen-p", "pmf-lam", "pmf-k-max", "k-max-lam", "wilson-trials", "counts-p"])
+], ids=["stein-chen-p", "pmf-lam", "pmf-k-max", "wilson-trials", "counts-p"])
 def test_input_checks(graph, call, message):
     with pytest.raises(ValueError, match=message):
         call(graph(3))
 
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize("workers", [0, threshold.MAX_WORKERS + 1])
+    def test_workers_out_of_range_start_no_thread(self, graph, monkeypatch, workers):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(threshold, "ThreadPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match=rf"workers must be in \[1, 256\], got {workers}"):
+            run_uncovered_counts(graph(3), 0.1, 64, 0, workers=workers)
+
     def test_cover_probability_degenerate(self, graph):
         g = graph(3)
         full = CoverProbability.from_histogram(run_uncovered_counts(g, 1.0, 200, master_seed=0))
@@ -742,6 +758,20 @@ class TestGapExperiment:
         expected = 0.5 * float(np.abs(emp - ref).sum()) + 0.5 * (1.0 - float(ref.sum()))
         assert report["tv_to_poisson"] == pytest.approx(expected, abs=1e-9)
         assert 0.5 < report["tv_to_poisson"] < 0.9
+
+    @pytest.mark.parametrize("n, K, p, trials, tol", [
+        (4, 0.0, None, 256, 1e-14),
+        # poisson_pmf's recurrence runs ~2400 steps from its first normal
+        # term (k = 2606) to the mode, and leaves terms up to 4e-13 off
+        # (relative), which the reference here does not share
+        (7, None, 1e-4, 2000, 2e-13),
+    ], ids=["n4-K0", "n7-p1e-4"])
+    def test_tv_is_the_exact_distance(self, graph, n, K, p, trials, tol):
+        report = gap_experiment(graph(n), critical_window_p(n, K) if p is None else p,
+                                trials, master_seed=2, K_nominal=K)
+        pmf = {int(k): v for k, v in report["empirical_pmf"].items()}
+        expected = exact_tv_to_poisson(pmf, report["lambda_exact"])
+        assert report["tv_to_poisson"] == pytest.approx(expected, rel=0, abs=tol)
 
     def test_full_selection_is_delta_zero(self, graph):
         report = gap_experiment(graph(3), 1.0, 1500, master_seed=0)
